@@ -25,14 +25,20 @@ class CliError(Exception):
     """Input problem reported on stderr; the process exits with status 2."""
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not a JSON number")
+
+
 def _load_json(path):
     try:
         with open(path, encoding="utf-8") as handle:
-            return json.load(handle)
+            return json.load(handle, parse_constant=_reject_constant)
     except OSError as e:
         raise CliError(f"{path}: {e.strerror}") from None
     except json.JSONDecodeError as e:
         raise CliError(f"{path}:{e.lineno}: {e.msg}") from None
+    except ValueError as e:  # NaN or Infinity, or a file that is not UTF-8
+        raise CliError(f"{path}: {e}") from None
 
 
 def _load_as(path, reader, what):

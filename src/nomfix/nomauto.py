@@ -276,9 +276,20 @@ def dfa_to_jsonable(dfa):
 
 
 def dfa_from_jsonable(blob):
-    degrees = {entry["name"]: entry["degree"] for entry in blob["orbits"]}
+    degrees = {}
+    for entry in blob["orbits"]:
+        name = entry["name"]
+        if name in degrees:
+            raise ValueError(f"duplicate orbit name {name!r}")
+        degrees[name] = entry["degree"]
+    if not isinstance(blob["accepting"], list):
+        raise ValueError("'accepting' must be a list of orbit names")
+    if not isinstance(blob["delta"], dict):
+        raise ValueError("'delta' must be an object")
     delta = {}
     for name, rules in blob["delta"].items():
+        if not isinstance(rules, dict):
+            raise ValueError(f"rules for orbit {name!r} must be an object")
         equal = rules.get("equal", {})
         try:
             cases = tuple(

@@ -7,17 +7,17 @@ slots and groups of children, and a group may bind atoms whose scope is
 exactly the children of that group.  A state denotes the (generally
 infinite) tree obtained by unfolding its equation forever; :func:`unfold`
 produces the finite truncation at a given depth, with :data:`CUT` marking
-the pruned subtrees.
+the pruned subtrees.  Equations and tree nodes are both :class:`Node`.
 
 Two notions of behavioural equivalence are provided: :func:`raw_bisim`
 compares denoted trees literally, while :func:`alpha_bisim` compares them
-up to renaming of bound atoms.  Both are decided by closing a finite set of
-state-pair configurations, so they terminate even though the denoted trees
-are infinite.  :func:`truncation_eq` answers the depth-bounded variant of
-the alpha-aware comparison without materialising the truncations.
+up to renaming of bound atoms.  Both run one closure, ``_closure``, over a
+finite set of state-pair configurations, so they terminate even though the
+denoted trees are infinite; they differ only in the step that matches one
+pair of nodes.  :func:`truncation_eq` is the alpha-aware closure cut off at
+a depth, so it never materialises the truncations.
 """
 
-from collections import deque
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -140,8 +140,9 @@ LAMBDA_SIG = BindingSignature([
 
 @dataclass(frozen=True)
 class Node:
-    """One equation right-hand side: an operation applied to atoms and
-    groups of child state names, with the group's bound atoms in front."""
+    """An operation applied to atoms and groups of children, with each
+    group's bound atoms in front.  In a :class:`TermGraph` the children are
+    state names; in a finite tree they are trees or :data:`CUT`."""
 
     op: str
     atoms: tuple
@@ -157,22 +158,7 @@ class Node:
         )
 
 
-@dataclass(frozen=True)
-class TreeNode:
-    """A node of a finite tree; children are trees or :data:`CUT`."""
-
-    op: str
-    atoms: tuple
-    groups: tuple
-    label: str | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "atoms", tuple(self.atoms))
-        object.__setattr__(
-            self,
-            "groups",
-            tuple((tuple(bound), tuple(children)) for bound, children in self.groups),
-        )
+TreeNode = Node  # the former name of tree nodes
 
 
 class TermGraph:
@@ -213,14 +199,15 @@ def validate(graph):
 
     Checks every state against the signature: known operation, atom and
     group arities, distinct bound atoms within a group, existing child
-    states, and permitted labels.  Never raises; the other operations on
-    graphs refuse to run until this list is empty.
+    states, and permitted labels.  Never raises, whatever the types of the
+    node fields; the other operations on graphs refuse to run until this
+    list is empty.
     """
     if graph._problems is not None:
         return list(graph._problems)
     problems = []
     for name, node in graph.states.items():
-        if node.op not in graph.signature:
+        if not isinstance(node.op, str) or node.op not in graph.signature:
             problems.append(f"state '{name}': unknown operation '{node.op}'")
             continue
         spec = graph.signature.op(node.op)
@@ -239,7 +226,7 @@ def validate(graph):
                 problems.append(
                     f"state '{name}': operation '{node.op}' takes no label"
                 )
-        elif node.label not in spec.labels:
+        elif not isinstance(node.label, str) or node.label not in spec.labels:
             problems.append(
                 f"state '{name}': label {node.label!r} not allowed for"
                 f" '{node.op}'"
@@ -258,21 +245,24 @@ def validate(graph):
                     f"state '{name}': group {i} binds {len(bound)} atoms,"
                     f" expected {bcount}"
                 )
-            elif len(set(bound)) != len(bound):
-                problems.append(f"state '{name}': group {i} binds an atom twice")
+            atoms_ok = True
             for b in bound:
                 if not isinstance(b, int) or isinstance(b, bool) or b < 0:
+                    atoms_ok = False
                     problems.append(
                         f"state '{name}': bound atom {b!r} is not a"
                         f" nonnegative integer"
                     )
+            # only atoms are known to be hashable
+            if atoms_ok and len(bound) == bcount and len(set(bound)) != len(bound):
+                problems.append(f"state '{name}': group {i} binds an atom twice")
             if len(children) != ccount:
                 problems.append(
                     f"state '{name}': group {i} has {len(children)} children,"
                     f" expected {ccount}"
                 )
             for c in children:
-                if c not in graph.states:
+                if not isinstance(c, str) or c not in graph.states:
                     problems.append(f"state '{name}': unknown child state '{c}'")
     graph._problems = tuple(problems)
     return problems
@@ -309,13 +299,13 @@ def unfold(graph, state, depth):
                 (bound, tuple(prev[c] for c in children))
                 for bound, children in node.groups
             )
-            cur[name] = TreeNode(node.op, node.atoms, groups, node.label)
+            cur[name] = Node(node.op, node.atoms, groups, node.label)
         prev = cur
     return prev[state]
 
 
 def _fv_map(graph):
-    """Free atoms of every state, as the least fixpoint of the equations."""
+    """Free atoms of every state, sorted, as the least fixpoint of the equations."""
     if graph._fv is not None:
         return graph._fv
     fv = {name: frozenset() for name in graph.states}
@@ -333,27 +323,32 @@ def _fv_map(graph):
             if acc != fv[name]:
                 fv[name] = acc
                 changed = True
-    graph._fv = fv
-    return fv
+    graph._fv = {name: tuple(sorted(atoms)) for name, atoms in fv.items()}
+    return graph._fv
 
 
 def free_atoms(graph, state):
     """Atoms occurring free in the tree denoted by ``state``."""
     _require_valid(graph)
     _require_state(graph, state)
-    return _fv_map(graph)[state]
+    return frozenset(_fv_map(graph)[state])
 
 
 def tree_free_atoms(tree):
-    """Atoms occurring free in a finite tree; :data:`CUT` contributes none."""
-    if tree is CUT:
-        return frozenset()
-    out = set(tree.atoms)
-    for bound, children in tree.groups:
-        below = set()
-        for c in children:
-            below |= tree_free_atoms(c)
-        out |= below - set(bound)
+    """Atoms occurring free in a finite tree; :data:`CUT` contributes none.
+
+    An occurrence is free when no binder group above it binds the atom.
+    """
+    out = set()
+    stack = [(tree, frozenset())]
+    while stack:
+        t, scope = stack.pop()
+        if t is CUT:
+            continue
+        out.update(a for a in t.atoms if a not in scope)
+        for bound, children in t.groups:
+            inner = scope.union(bound)
+            stack.extend((c, inner) for c in children)
     return frozenset(out)
 
 
@@ -366,119 +361,21 @@ def _check_pair(g1, s1, g2, s2):
     _require_state(g2, s2)
 
 
-def raw_bisim(g1, s1, g2, s2):
-    """Decide whether two states denote literally equal trees.
+def _closure(root, expand, depth=None):
+    """Close ``{root}`` under ``expand`` breadth first: ``False`` as soon as
+    ``expand`` returns ``None`` for a configuration, else ``True``.
 
-    Closes the set of reachable state pairs, demanding equal operations,
-    labels, atoms and bound atoms at every pair.  The closure has at most
-    ``|states1| * |states2|`` elements, so this terminates.
+    With a ``depth``, only levels below it are expanded: a configuration
+    at level ``L`` sits at tree depth ``L``, which a depth-``depth``
+    truncation shows exactly when ``depth > L``.
     """
-    _check_pair(g1, s1, g2, s2)
-    seen = {(s1, s2)}
-    queue = deque([(s1, s2)])
-    while queue:
-        a, b = queue.popleft()
-        na, nb = g1.states[a], g2.states[b]
-        if na.op != nb.op or na.label != nb.label or na.atoms != nb.atoms:
-            return False
-        for (bound_a, kids_a), (bound_b, kids_b) in zip(na.groups, nb.groups):
-            if bound_a != bound_b:
-                return False
-            for pair in zip(kids_a, kids_b):
-                if pair not in seen:
-                    seen.add(pair)
-                    queue.append(pair)
-    return True
-
-
-class _AlphaSearch:
-    """Shared machinery for the alpha-aware comparisons.
-
-    A configuration is ``(state1, state2, rho)`` where ``rho`` is a finite
-    injective renaming recording, for each atom free on the left at this
-    point of the comparison, which atom it must equal on the right.  The
-    root configuration carries the identity on the free atoms of both
-    sides; binder groups overwrite ``rho`` on their bound atoms and drop
-    captured entries, and each child keeps only the entries its own free
-    atoms can still consult.  Restricting this way keeps the configuration
-    space finite so the closure terminates.
-    """
-
-    def __init__(self, g1, s1, g2, s2):
-        _check_pair(g1, s1, g2, s2)
-        self.g1, self.g2 = g1, g2
-        self.fv1 = _fv_map(g1)
-        base = self.fv1[s1] | _fv_map(g2)[s2]
-        rho = tuple(sorted((a, a) for a in base))
-        self.root = (s1, s2, rho)
-
-    def expand(self, config):
-        """Child configurations, or ``None`` when the nodes disagree."""
-        sa, sb, items = config
-        na, nb = self.g1.states[sa], self.g2.states[sb]
-        if na.op != nb.op or na.label != nb.label:
-            return None
-        rho = dict(items)
-        for aa, ab in zip(na.atoms, nb.atoms):
-            if rho.get(aa) != ab:
-                return None
-        out = []
-        for (bound_a, kids_a), (bound_b, kids_b) in zip(na.groups, nb.groups):
-            hide_a, hide_b = set(bound_a), set(bound_b)
-            inner = {
-                x: y for x, y in rho.items() if x not in hide_a and y not in hide_b
-            }
-            inner.update(zip(bound_a, bound_b))
-            for ca, cb in zip(kids_a, kids_b):
-                keep = self.fv1[ca]
-                sub = tuple(sorted((x, y) for x, y in inner.items() if x in keep))
-                out.append((ca, cb, sub))
-        return out
-
-
-def alpha_bisim(g1, s1, g2, s2):
-    """Decide whether two states denote alpha-equivalent trees.
-
-    Works like :func:`raw_bisim` but carries a renaming of free atoms in
-    each configuration, so bound atoms may differ as long as corresponding
-    binders align.  Terminates because only finitely many renamings over
-    the atoms of the two graphs can arise.
-    """
-    search = _AlphaSearch(g1, s1, g2, s2)
-    seen = {search.root}
-    queue = deque([search.root])
-    while queue:
-        config = queue.popleft()
-        children = search.expand(config)
-        if children is None:
-            return False
-        for child in children:
-            if child not in seen:
-                seen.add(child)
-                queue.append(child)
-    return True
-
-
-def truncation_eq(g1, s1, g2, s2, depth):
-    """Decide whether the depth-``depth`` truncations are alpha-equivalent.
-
-    Explores configurations level by level: a disagreeing configuration at
-    level ``L`` sits at tree depth ``L``, which the truncation exposes
-    exactly when ``depth > L``.  The walk therefore stops at level
-    ``depth`` — everything deeper is behind a :data:`CUT` — and equality
-    holds iff no disagreement was found before that.  Large ``depth``
-    values cost nothing extra once the configuration set is exhausted.
-    """
-    if depth < 0:
-        raise ValueError("depth must be nonnegative")
-    search = _AlphaSearch(g1, s1, g2, s2)
-    seen = {search.root}
-    frontier = [search.root]
+    seen = {root}
+    frontier = [root]
     level = 0
-    while frontier and level < depth:
+    while frontier and (depth is None or level < depth):
         next_frontier = []
         for config in frontier:
-            children = search.expand(config)
+            children = expand(config)
             if children is None:
                 return False
             for child in children:
@@ -490,37 +387,127 @@ def truncation_eq(g1, s1, g2, s2, depth):
     return True
 
 
-def tree_alpha_eq(t1, t2):
-    """Alpha-equivalence of two finite trees, by direct recursion.
+def raw_bisim(g1, s1, g2, s2):
+    """Decide whether two states denote literally equal trees.
 
-    The same renaming discipline as :func:`alpha_bisim`, but over tree
-    nodes instead of graph configurations; :data:`CUT` only matches
+    Closes the set of reachable state pairs, demanding equal operations,
+    labels, atoms and bound atoms at every pair.  The closure has at most
+    ``|states1| * |states2|`` elements, so this terminates.
+    """
+    _check_pair(g1, s1, g2, s2)
+    states1, states2 = g1.states, g2.states
+
+    def expand(pair):
+        na, nb = states1[pair[0]], states2[pair[1]]
+        if na.op != nb.op or na.label != nb.label or na.atoms != nb.atoms:
+            return None
+        out = []
+        for (bound_a, kids_a), (bound_b, kids_b) in zip(na.groups, nb.groups):
+            if bound_a != bound_b:
+                return None
+            out.extend(zip(kids_a, kids_b))
+        return out
+
+    return _closure((s1, s2), expand)
+
+
+def _match(na, nb, rho):
+    """Match two nodes up to ``rho``, the renaming of the free atoms in scope:
+    ``None`` if their operations, labels or atoms disagree, else one
+    ``(inner, kids_a, kids_b)`` per group, ``inner`` being ``rho`` less the
+    entries the group's binders capture plus the pairing of its binders."""
+    if na.op != nb.op or na.label != nb.label:
+        return None
+    for aa, ab in zip(na.atoms, nb.atoms):
+        if rho.get(aa) != ab:
+            return None
+    out = []
+    for (bound_a, kids_a), (bound_b, kids_b) in zip(na.groups, nb.groups):
+        hide_a, hide_b = set(bound_a), set(bound_b)
+        inner = {x: y for x, y in rho.items() if x not in hide_a and y not in hide_b}
+        inner.update(zip(bound_a, bound_b))
+        out.append((inner, kids_a, kids_b))
+    return out
+
+
+def _alpha_search(g1, s1, g2, s2):
+    """Root configuration and ``expand`` step of the alpha-aware closure.
+
+    A configuration is ``(state1, state2, rho)``, where ``rho`` holds as
+    sorted pairs, for each atom free on the left there, the atom it must
+    equal on the right.  The root has the identity on the free atoms of
+    both sides; each child keeps only the entries its own free atoms can
+    consult, which keeps the configurations finitely many.
+    """
+    _check_pair(g1, s1, g2, s2)
+    states1, states2 = g1.states, g2.states
+    fv1 = _fv_map(g1)
+    rho = tuple((a, a) for a in sorted(set(fv1[s1]).union(_fv_map(g2)[s2])))
+
+    def expand(config):
+        sa, sb, items = config
+        groups = _match(states1[sa], states2[sb], dict(items))
+        if groups is None:
+            return None
+        return [
+            (ca, cb, tuple((x, inner[x]) for x in fv1[ca] if x in inner))
+            for inner, kids_a, kids_b in groups
+            for ca, cb in zip(kids_a, kids_b)
+        ]
+
+    return (s1, s2, rho), expand
+
+
+def alpha_bisim(g1, s1, g2, s2):
+    """Decide whether two states denote alpha-equivalent trees.
+
+    Works like :func:`raw_bisim` but carries a renaming of free atoms in
+    each configuration, so bound atoms may differ as long as corresponding
+    binders align.  Terminates because only finitely many renamings over
+    the atoms of the two graphs can arise.
+    """
+    return _closure(*_alpha_search(g1, s1, g2, s2))
+
+
+def truncation_eq(g1, s1, g2, s2, depth):
+    """Decide whether the depth-``depth`` truncations are alpha-equivalent.
+
+    The closure of :func:`alpha_bisim` stopped at level ``depth``: equality
+    holds iff no disagreement sits above it.  Large ``depth`` values cost
+    nothing extra once the configuration set is exhausted.
+    """
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
+    return _closure(*_alpha_search(g1, s1, g2, s2), depth)
+
+
+def tree_alpha_eq(t1, t2):
+    """Alpha-equivalence of two finite trees.
+
+    The node-matching step of :func:`alpha_bisim`, applied over tree nodes
+    instead of graph configurations; :data:`CUT` only matches
     :data:`CUT`.  Useful as an executable specification for the graph
     procedures on truncations.
     """
     rho = {a: a for a in tree_free_atoms(t1) | tree_free_atoms(t2)}
-    return _tree_alpha(t1, t2, rho)
-
-
-def _tree_alpha(t1, t2, rho):
-    if t1 is CUT or t2 is CUT:
-        return t1 is t2
-    if t1.op != t2.op or t1.label != t2.label:
-        return False
-    if len(t1.atoms) != len(t2.atoms) or len(t1.groups) != len(t2.groups):
-        return False
-    for aa, ab in zip(t1.atoms, t2.atoms):
-        if rho.get(aa) != ab:
-            return False
-    for (bound_a, kids_a), (bound_b, kids_b) in zip(t1.groups, t2.groups):
-        if len(bound_a) != len(bound_b) or len(kids_a) != len(kids_b):
-            return False
-        hide_a, hide_b = set(bound_a), set(bound_b)
-        inner = {x: y for x, y in rho.items() if x not in hide_a and y not in hide_b}
-        inner.update(zip(bound_a, bound_b))
-        for ca, cb in zip(kids_a, kids_b):
-            if not _tree_alpha(ca, cb, inner):
+    stack = [(t1, t2, rho)]
+    while stack:
+        ta, tb, rho = stack.pop()
+        if ta is CUT or tb is CUT:
+            if ta is not tb:
                 return False
+            continue
+        # hand-built trees are never validated, so arities may differ
+        if len(ta.atoms) != len(tb.atoms) or len(ta.groups) != len(tb.groups):
+            return False
+        for (bound_a, kids_a), (bound_b, kids_b) in zip(ta.groups, tb.groups):
+            if len(bound_a) != len(bound_b) or len(kids_a) != len(kids_b):
+                return False
+        groups = _match(ta, tb, rho)
+        if groups is None:
+            return False
+        for inner, kids_a, kids_b in groups:
+            stack.extend((ca, cb, inner) for ca, cb in zip(kids_a, kids_b))
     return True
 
 
@@ -545,7 +532,7 @@ def act_tree(perm, tree):
     """Apply a finite permutation to every atom of a finite tree."""
     if tree is CUT:
         return CUT
-    return TreeNode(
+    return Node(
         tree.op,
         tuple(apply(perm, a) for a in tree.atoms),
         tuple(
@@ -566,23 +553,29 @@ def render_tree(tree, ascii_cut=False):
     label, if any, fused onto the operation as ``op:label``.  Pruned
     subtrees print as ``⊥``, or ``_`` when ``ascii_cut`` is set.
 
-    >>> t = TreeNode("lam", (), (((0,), (CUT,)),))
+    >>> t = Node("lam", (), (((0,), (CUT,)),))
     >>> render_tree(t)
     '(lam 0 ⊥)'
     """
     cut = "_" if ascii_cut else "⊥"
-
-    def go(t):
-        if t is CUT:
-            return cut
-        head = t.op if t.label is None else f"{t.op}:{t.label}"
-        parts = [head] + [str(a) for a in t.atoms]
-        for bound, children in t.groups:
-            parts.extend(str(b) for b in bound)
-            parts.extend(go(c) for c in children)
-        return "(" + " ".join(parts) + ")"
-
-    return go(tree)
+    out = []
+    stack = [tree]  # subtrees still to render, and text to emit between them
+    while stack:
+        t = stack.pop()
+        if isinstance(t, str):
+            out.append(t)
+        elif t is CUT:
+            out.append(cut)
+        else:
+            head = t.op if t.label is None else f"{t.op}:{t.label}"
+            items = ["(" + head, *(f" {a}" for a in t.atoms)]
+            for bound, children in t.groups:
+                items.extend(f" {b}" for b in bound)
+                for c in children:
+                    items += (" ", c)
+            items.append(")")
+            stack.extend(reversed(items))
+    return "".join(out)
 
 
 def _tokenize(text):
@@ -668,7 +661,7 @@ def _parse_node(signature, tokens, pos):
         groups.append((tuple(bound), tuple(children)))
     if pos >= len(tokens) or tokens[pos] != ")":
         raise ValueError(f"expected ')' closing '{op_name}'")
-    return TreeNode(op_name, tuple(atoms), tuple(groups), label), pos + 1
+    return Node(op_name, tuple(atoms), tuple(groups), label), pos + 1
 
 
 def signature_to_jsonable(signature):
@@ -690,6 +683,8 @@ def signature_to_jsonable(signature):
 def signature_from_jsonable(blob):
     ops = []
     for entry in blob["ops"]:
+        if not isinstance(entry, dict):
+            raise ValueError("each signature operation must be an object")
         labels = entry.get("labels")
         ops.append(
             OpSpec(
@@ -731,6 +726,8 @@ def graph_from_jsonable(blob):
         signature = LAMBDA_SIG
     else:
         signature = signature_from_jsonable(sig)
+    if not isinstance(blob["states"], dict):
+        raise ValueError("'states' must be an object")
     states = {}
     for name, entry in blob["states"].items():
         states[name] = Node(

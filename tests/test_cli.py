@@ -1,6 +1,12 @@
 """End-to-end command line tests with frozen outputs and exit codes."""
 
+import contextlib
+import io
+import json
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nomfix.cli import main
 from nomfix.serialize import canonical_dumps
@@ -244,3 +250,152 @@ def test_reemission_is_byte_identical(files):
 
     graph = graph_from_jsonable(json.loads(original))
     assert canonical_dumps(graph_to_jsonable(graph)) == original
+
+
+LABELLED_BLOB = {
+    "sig": {"ops": [
+        {"name": "node", "atoms": 1, "labels": ["x", "y"],
+         "groups": [{"bound": 1, "children": 2}]},
+        {"name": "leaf", "atoms": 0, "groups": []},
+    ]},
+    "states": {
+        "r": {"op": "node", "label": "x", "atoms": [3],
+              "groups": [{"bound_atoms": [0], "children": ["r", "z"]}]},
+        "z": {"op": "leaf", "atoms": [], "groups": []},
+    },
+}
+
+
+def _replaced(blob, path, value):
+    """A deep copy of ``blob`` with the field at ``path`` set to ``value``."""
+    if not path:
+        return value
+    copy = json.loads(json.dumps(blob))
+    holder = copy
+    for key in path[:-1]:
+        holder = holder[key]
+    holder[path[-1]] = value
+    return copy
+
+
+def _field_paths(blob, path=()):
+    yield path
+    if isinstance(blob, dict):
+        for key, value in blob.items():
+            yield from _field_paths(value, path + (key,))
+    elif isinstance(blob, list):
+        for i, value in enumerate(blob):
+            yield from _field_paths(value, path + (i,))
+
+
+@pytest.mark.parametrize("args, blob, message", [
+    (["support", "G", "s"], dict(LAM_BLOB, states=[]), "'states' must be an object"),
+    (["support", "G", "s"], _replaced(LAM_BLOB, ("states", "u", "op"), ["var"]),
+     "unknown operation"),
+    (["support", "G", "s"],
+     _replaced(LAM_BLOB, ("states", "s", "groups", 0, "bound_atoms"), [[0]]),
+     "bound atom [0] is not a nonnegative integer"),
+    (["alpha-eq", "G", "s", "G", "s"],
+     _replaced(LAM_BLOB, ("states", "b", "groups", 0, "children"), [["u"], "s"]),
+     "unknown child state"),
+    (["unfold", "G", "r", "--depth", "2"],
+     _replaced(LABELLED_BLOB, ("states", "r", "label"), ["x"]), "not allowed"),
+    (["support", "G", "r"], _replaced(LABELLED_BLOB, ("sig", "ops", 1), ["leaf"]),
+     "must be an object"),
+])
+def test_malformed_graph_exits_2(files, capsys, args, blob, message):
+    g = files("bad.json", blob)
+    assert main([g if arg == "G" else arg for arg in args]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert err.endswith("\n") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("blob, message", [
+    (dict(L1_BLOB, orbits=[{"name": "p", "degree": 0}, {"name": "p", "degree": 1}],
+          initial="p"),
+     "duplicate orbit name 'p'"),
+    (dict(L1_BLOB, accepting="acc"), "'accepting' must be a list"),
+    (dict(L1_BLOB, delta=[]), "'delta' must be an object"),
+    (_replaced(L1_BLOB, ("delta", "q0"), []), "must be an object"),
+])
+def test_malformed_automaton_exits_2(files, capsys, blob, message):
+    dfa = files("bad.json", blob)
+    assert main(["dfa-run", dfa, "1,1"]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert err.endswith("\n") and err.count("\n") == 1
+
+
+def test_non_finite_json_number_exits_2(tmp_path, capsys):
+    path = tmp_path / "inf.json"
+    blob = _replaced(LABELLED_BLOB, ("sig", "ops", 0, "groups", 0, "bound"),
+                     float("inf"))
+    path.write_text(json.dumps(blob), encoding="utf-8")
+    assert main(["support", str(path), "r"]) == 2
+    assert capsys.readouterr().err == f"{path}: Infinity is not a JSON number\n"
+
+
+def test_deep_unfold_is_printed(files, capsys):
+    blob = {"sig": "lambda", "states": {
+        "s": {"op": "lam", "atoms": [],
+              "groups": [{"bound_atoms": [0], "children": ["s"]}]},
+    }}
+    g = files("deep.json", blob)
+    assert main(["unfold", g, "s", "--depth", "3000"]) == 0
+    assert capsys.readouterr().out == "(lam 0 " * 3000 + "⊥" + ")" * 3000 + "\n"
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=6,
+)
+
+GRAPH_FIXTURES = [(LAM_BLOB, "s"), (RENAMED_BLOB, "s"), (SWAPPED_BLOB, "s"),
+                  (LOOP_BLOB, "t"), (LABELLED_BLOB, "r")]
+DFA_FIXTURES = [L1_BLOB, L1_RENAMED_BLOB, REJECT_ALL_BLOB, ACCEPT_ALL_BLOB]
+
+
+def _mutant_and_original(folder, blob, path, value):
+    """Write ``blob`` with one field replaced, and ``blob`` itself."""
+    bad, good = folder / "bad.json", folder / "good.json"
+    bad.write_text(json.dumps(_replaced(blob, path, value)), encoding="utf-8")
+    good.write_text(json.dumps(blob), encoding="utf-8")
+    return str(bad), str(good)
+
+
+def _run_quietly(argv):
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+FUZZ = settings(max_examples=100, derandomize=True, deadline=None, database=None)
+
+
+@FUZZ
+@given(data=st.data(), value=JSON_VALUES, depth=st.integers(0, 4))
+def test_fuzzed_graph_keeps_exit_code_contract(tmp_path_factory, data, value, depth):
+    blob, state = data.draw(st.sampled_from(GRAPH_FIXTURES))
+    path = data.draw(st.sampled_from(list(_field_paths(blob))))
+    bad, good = _mutant_and_original(tmp_path_factory.mktemp("fuzz"), blob, path, value)
+    for argv in (["alpha-eq", bad, state, good, state],
+                 ["raw-eq", good, state, bad, state],
+                 ["unfold", bad, state, "--depth", str(depth)],
+                 ["support", bad, state]):
+        assert _run_quietly(argv) in (0, 1, 2)
+
+
+@FUZZ
+@given(data=st.data(), value=JSON_VALUES,
+       word=st.lists(st.integers(0, 3), max_size=4))
+def test_fuzzed_automaton_keeps_exit_code_contract(tmp_path_factory, data, value, word):
+    blob = data.draw(st.sampled_from(DFA_FIXTURES))
+    path = data.draw(st.sampled_from(list(_field_paths(blob))))
+    bad, good = _mutant_and_original(tmp_path_factory.mktemp("fuzz"), blob, path, value)
+    for argv in (["dfa-run", bad, ",".join(map(str, word))],
+                 ["dfa-equiv", bad, good],
+                 ["dfa-equiv", good, bad]):
+        assert _run_quietly(argv) in (0, 1, 2)

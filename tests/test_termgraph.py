@@ -246,6 +246,29 @@ def test_truncation_matches_finite_tree_comparison():
             assert tree_alpha_eq(t1, t2) == expected
 
 
+def test_tree_walks_handle_deep_trees():
+    def chain(binder):  # s = lam<binder> s
+        graph = TermGraph(LAMBDA_SIG, {"s": Node("lam", (), (((binder,), ("s",)),))})
+        return unfold(graph, "s", 3000)
+
+    assert tree_alpha_eq(chain(0), chain(1))
+    loop0, loop1 = unfold(lam_graph(0), "s", 3000), unfold(lam_graph(1), "s", 3000)
+    assert tree_alpha_eq(loop0, loop1)
+    assert not tree_alpha_eq(chain(0), loop0)
+    assert tree_free_atoms(chain(1)) == frozenset()
+    assert render_tree(chain(1)) == "(lam 1 " * 3000 + "⊥" + ")" * 3000
+
+
+def test_tree_alpha_eq_rejects_mismatched_arities():
+    # hand-built trees are never validated against a signature
+    assert not tree_alpha_eq(Node("var", (1,), ()), Node("var", (1, 2), ()))
+    assert not tree_alpha_eq(Node("lam", (), (((0,), (CUT,)),)),
+                             Node("lam", (), (((0, 1), (CUT,)),)))
+    assert not tree_alpha_eq(Node("lam", (), (((0,), (CUT,)),)),
+                             Node("lam", (), (((0,), (CUT, CUT)),)))
+    assert not tree_alpha_eq(Node("lam", (), (((0,), (CUT,)),)), Node("lam", (), ()))
+
+
 def test_truncation_is_monotone_and_stabilizes_to_alpha_bisim():
     rng = random.Random(19)
     for _ in range(150):
