@@ -10,15 +10,15 @@ orbit elements, and finitely supported functions.
 
 from __future__ import annotations
 
-from .perm import FinPerm, fresh, make_perm
-from .values import act_value, support_value, value_eq
+from .perm import FinPerm, fresh, is_atom, make_perm
+from .values import act_value, support_value
 
 
 class Abstraction:
     __slots__ = ("binder", "body")
 
     def __init__(self, binder: int, body):
-        if not isinstance(binder, int) or isinstance(binder, bool) or binder < 0:
+        if not is_atom(binder):
             raise ValueError("binder must be a nonnegative integer atom")
         free = support_value(body) - {binder}
         canonical = fresh(free)
@@ -36,7 +36,7 @@ class Abstraction:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Abstraction):
             return NotImplemented
-        return self.binder == other.binder and value_eq(self.body, other.body)
+        return (self.binder, self.body) == (other.binder, other.body)
 
     def __hash__(self) -> int:
         return hash((self.binder, self.body))
@@ -54,7 +54,7 @@ def _eq_at(a1: Abstraction, a2: Abstraction, z: int) -> bool:
     # the class test at one specific fresh atom z; any fresh choice agrees
     b1 = a1.body if z == a1.binder else act_value(make_perm([(a1.binder, z)]), a1.body)
     b2 = a2.body if z == a2.binder else act_value(make_perm([(a2.binder, z)]), a2.body)
-    return value_eq(b1, b2)
+    return b1 == b2
 
 
 def abstr_eq(a1: Abstraction, a2: Abstraction) -> bool:

@@ -21,14 +21,9 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Mapping, Sequence
 
-from .perm import FinPerm, fresh, make_perm
-from .values import act_value, support_value, value_eq
-
-
-def _check_atom(a) -> int:
-    if not isinstance(a, int) or isinstance(a, bool) or a < 0:
-        raise ValueError("atoms are nonnegative integers")
-    return a
+from .nomset import is_strong, min_support
+from .perm import FinPerm, fresh, is_atom, make_perm
+from .values import act_value, support_value
 
 
 def _raw_apply(a: int, d, keys: Sequence[int], vals: Sequence, b: int):
@@ -46,8 +41,10 @@ class FsFun:
     __slots__ = ("default_atom", "default_value", "keys", "values")
 
     def __init__(self, default_atom: int, default_value, keys: Sequence[int], values: Sequence):
-        a = _check_atom(default_atom)
-        keys = tuple(_check_atom(k) for k in keys)
+        a = default_atom
+        keys = tuple(keys)
+        if not is_atom(a) or not all(map(is_atom, keys)):
+            raise ValueError("atoms are nonnegative integers")
         values = tuple(values)
         if len(keys) != len(values):
             raise ValueError("keys and values must have equal length")
@@ -64,7 +61,7 @@ class FsFun:
         supp = []
         for u in sorted(cands):
             swap = make_perm([(u, z1)])
-            if any(not value_eq(act_value(swap, raw(swap(b))), raw(b)) for b in probes):
+            if any(act_value(swap, raw(swap(b))) != raw(b) for b in probes):
                 supp.append(u)
         self.keys = tuple(supp)
         self.values = tuple(raw(k) for k in supp)
@@ -83,10 +80,8 @@ class FsFun:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FsFun):
             return NotImplemented
-        return (self.default_atom == other.default_atom
-                and self.keys == other.keys
-                and value_eq(self.default_value, other.default_value)
-                and all(value_eq(x, y) for x, y in zip(self.values, other.values)))
+        return ((self.default_atom, self.keys, self.default_value, self.values)
+                == (other.default_atom, other.keys, other.default_value, other.values))
 
     def __hash__(self) -> int:
         return hash((self.default_atom, self.keys))
@@ -98,7 +93,9 @@ class FsFun:
 
 def fs_apply(f: FsFun, b: int):
     """Evaluate: table hit on a key, else the default with its atom swapped."""
-    return _raw_apply(f.default_atom, f.default_value, f.keys, f.values, _check_atom(b))
+    if not is_atom(b):
+        raise ValueError("atoms are nonnegative integers")
+    return _raw_apply(f.default_atom, f.default_value, f.keys, f.values, b)
 
 
 def fs_from_table(entries: Mapping[int, object], fresh_pair: tuple[int, object]) -> FsFun:
@@ -119,12 +116,11 @@ def fs_eq(f: FsFun, g: FsFun) -> bool:
     """Extensional equality, decided on the joint support plus one fresh atom."""
     s = f.support() | g.support()
     probes = sorted(s) + [fresh(s)]
-    return all(value_eq(fs_apply(f, b), fs_apply(g, b)) for b in probes)
+    return all(fs_apply(f, b) == fs_apply(g, b) for b in probes)
 
 
 def fs_support(f: FsFun) -> frozenset[int]:
     """Recompute the minimal support by the swap test over stored atoms."""
-    from .nomset import min_support
     cands = frozenset({f.default_atom}) | frozenset(f.keys) | support_value(f.default_value)
     for v in f.values:
         cands |= support_value(v)
@@ -194,8 +190,7 @@ class DistinctFsFun:
         return DistinctFsFun(self.arity, self.inner.apply_perm(f))
 
     def support(self) -> frozenset[int]:
-        from .nomset import min_support
-        return min_support(self, self.inner.support(), eq=distinct_fs_eq)
+        return min_support(self, self.inner.support())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DistinctFsFun):
@@ -234,7 +229,7 @@ def distinct_fs_eq(f: DistinctFsFun, g: DistinctFsFun) -> bool:
     probe = sorted(f.inner.support() | g.inner.support())
     for _ in range(f.arity):
         probe.append(fresh(probe))
-    return all(value_eq(distinct_apply(f, v), distinct_apply(g, v))
+    return all(distinct_apply(f, v) == distinct_apply(g, v)
                for v in itertools.permutations(probe, f.arity))
 
 
@@ -268,7 +263,6 @@ def strong_exponent_apply(components: Mapping[str, object], p) -> object:
     Degree-0 orbits carry plain values; positive degrees carry distinct-tuple
     functions whose arity matches the degree, applied to the registers.
     """
-    from .nomset import is_strong
     family = p.family
     if not is_strong(family):
         raise ValueError("exponent requires a strong nominal set")

@@ -20,7 +20,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .nomset import CoordGroup, Element, OrbitDescriptor, OrbitFiniteSet
-from .perm import fresh
+from .perm import fresh, is_atom
 
 __all__ = [
     "INPUT",
@@ -128,10 +128,7 @@ def _check_expr(family, source, degree, expr, equal_index):
         )
     seen = set()
     for s in expr.sources:
-        ok = s == INPUT or (
-            isinstance(s, int) and not isinstance(s, bool) and 0 <= s < degree
-        )
-        if not ok:
+        if s != INPUT and not (is_atom(s) and s < degree):
             raise ValueError(f"orbit {source!r}: register {s!r} out of range")
         if s in seen:
             raise ValueError(f"orbit {source!r}: source {s!r} used twice")
@@ -150,14 +147,10 @@ def dfa_initial(dfa):
     return Element(dfa.family, dfa.initial, ())
 
 
-def _check_atom(atom):
-    if not isinstance(atom, int) or isinstance(atom, bool) or atom < 0:
-        raise ValueError("letters are nonnegative integer atoms")
-
-
 def dfa_step(dfa, state, atom):
     """Read one letter from a concrete state."""
-    _check_atom(atom)
+    if not is_atom(atom):
+        raise ValueError("letters are nonnegative integer atoms")
     if state.family is not dfa.family and state.family != dfa.family:
         raise ValueError("state does not belong to this automaton")
     regs = state.registers

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
-from .perm import FinPerm, fresh, make_perm
-from .values import act_value, support_value, value_eq
+from .perm import FinPerm, fresh, is_atom, make_perm
+from .values import act_value
 
 MAX_DEGREE = 8
 
@@ -42,14 +42,14 @@ class CoordGroup:
     __slots__ = ("degree", "generators", "closure", "order")
 
     def __init__(self, degree: int, generators: Iterable[Sequence[int]] = ()):
-        if not isinstance(degree, int) or degree < 0:
+        if not is_atom(degree):
             raise ValueError("degree must be a nonnegative integer")
         if degree > MAX_DEGREE:
             raise ValueError(f"degree {degree} above supported bound {MAX_DEGREE}")
         gens = []
         for g in generators:
             g = tuple(g)
-            if sorted(g) != list(range(degree)):
+            if not all(map(is_atom, g)) or sorted(g) != list(range(degree)):
                 raise ValueError(f"generator {g} is not a permutation of 0..{degree - 1}")
             gens.append(g)
         self.degree = degree
@@ -121,6 +121,8 @@ class OrbitFiniteSet:
 
 
 def _canonical_coset(symmetry: CoordGroup, registers: tuple[int, ...]) -> tuple[int, ...]:
+    if symmetry.order == 1:  # the one coset member is the tuple itself
+        return registers
     return min(tuple(registers[p[i]] for i in range(symmetry.degree))
                for p in symmetry.closure)
 
@@ -135,9 +137,8 @@ class Element:
         regs = tuple(registers)
         if len(regs) != descriptor.degree:
             raise ValueError(f"orbit {orbit!r} needs {descriptor.degree} registers")
-        for a in regs:
-            if not isinstance(a, int) or isinstance(a, bool) or a < 0:
-                raise ValueError("registers are nonnegative integer atoms")
+        if not all(map(is_atom, regs)):
+            raise ValueError("registers are nonnegative integer atoms")
         if len(set(regs)) != len(regs):
             raise ValueError("registers must be pairwise distinct")
         self.family = family
@@ -180,23 +181,17 @@ def support(e: Element) -> frozenset[int]:
     return e.support()
 
 
-def min_support(value, candidates: Iterable[int],
-                eq: Optional[Callable] = None,
-                action: Optional[Callable] = None) -> frozenset[int]:
+def min_support(value, candidates: Iterable[int]) -> frozenset[int]:
     """Minimal support of a value via the single-swap test.
 
     Requires the candidates to contain the support.  An atom u belongs to
-    the support exactly when swapping u with a fresh atom changes the value.
+    the support exactly when swapping u with an atom z outside the
+    candidates changes the value.
     """
-    eq = eq or value_eq
-    action = action or act_value
     cands = frozenset(candidates)
-    result = set()
-    for u in cands:
-        z = fresh(cands | {u})
-        if not eq(action(make_perm([(u, z)]), value), value):
-            result.add(u)
-    return frozenset(result)
+    z = fresh(cands)
+    return frozenset(u for u in cands
+                     if act_value(make_perm([(u, z)]), value) != value)
 
 
 def same_orbit(e1: Element, e2: Element) -> Optional[FinPerm]:
@@ -248,6 +243,8 @@ def set_from_jsonable(blob: dict) -> OrbitFiniteSet:
     orbits = []
     for entry in blob["orbits"]:
         name = entry["name"]
+        if not isinstance(name, str):
+            raise ValueError(f"orbit name {name!r} is not a string")
         degree = entry["degree"]
         generators = entry.get("generators", [])
         orbits.append(OrbitDescriptor(name, degree, CoordGroup(degree, generators)))

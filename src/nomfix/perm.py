@@ -48,9 +48,6 @@ class FinPerm:
     def items(self) -> Iterator[tuple[int, int]]:
         return iter(sorted(self._map.items()))
 
-    def is_identity(self) -> bool:
-        return not self._map
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FinPerm):
             return NotImplemented
@@ -64,7 +61,9 @@ class FinPerm:
         return f"FinPerm({{{inner}}})"
 
 
-IDENTITY = FinPerm({})
+def is_atom(x) -> bool:
+    """True for an atom: an ``int`` that is not a ``bool`` and is ``>= 0``."""
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
 
 
 def make_perm(transpositions: Iterable[tuple[int, int]]) -> FinPerm:
@@ -74,12 +73,15 @@ def make_perm(transpositions: Iterable[tuple[int, int]]) -> FinPerm:
     >>> [f(a) for a in (0, 1, 2)]
     [1, 2, 0]
     """
-    result = IDENTITY
+    m: dict[int, int] = {}
     for x, y in transpositions:
         if x == y:
             raise ValueError("transposition needs two distinct atoms")
-        result = compose(result, FinPerm({x: y, y: x}))
-    return result
+        if x < 0 or y < 0:
+            raise ValueError("atoms are nonnegative integers")
+        # precompose with (x y): x now goes where y went, and y where x went
+        m[x], m[y] = m.get(y, y), m.get(x, x)
+    return FinPerm(m)
 
 
 def apply(f: FinPerm, atom: int) -> int:
@@ -165,17 +167,3 @@ def perm_from_pairs(pairs: Iterable[Iterable[int]]) -> FinPerm:
             raise ValueError(f"duplicate source atom {a}")
         mapping[a] = b
     return FinPerm(mapping)
-
-
-def atoms_to_list(atoms: Iterable[int]) -> list[int]:
-    """Serialize a finite atom set as a sorted integer list."""
-    return sorted(set(atoms))
-
-
-def atoms_from_list(items: Iterable[int]) -> frozenset[int]:
-    result = set()
-    for a in items:
-        if not isinstance(a, int) or isinstance(a, bool) or a < 0:
-            raise ValueError("atoms are nonnegative integers")
-        result.add(a)
-    return frozenset(result)

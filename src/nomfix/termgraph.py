@@ -21,7 +21,7 @@ a depth, so it never materialises the truncations.
 from dataclasses import dataclass
 from types import MappingProxyType
 
-from .perm import apply
+from .perm import apply, is_atom
 
 __all__ = [
     "CUT",
@@ -217,7 +217,7 @@ def validate(graph):
                 f" got {len(node.atoms)}"
             )
         for a in node.atoms:
-            if not isinstance(a, int) or isinstance(a, bool) or a < 0:
+            if not is_atom(a):
                 problems.append(
                     f"state '{name}': atom {a!r} is not a nonnegative integer"
                 )
@@ -247,7 +247,7 @@ def validate(graph):
                 )
             atoms_ok = True
             for b in bound:
-                if not isinstance(b, int) or isinstance(b, bool) or b < 0:
+                if not is_atom(b):
                     atoms_ok = False
                     problems.append(
                         f"state '{name}': bound atom {b!r} is not a"
@@ -529,21 +529,32 @@ def act_graph(perm, graph):
 
 
 def act_tree(perm, tree):
-    """Apply a finite permutation to every atom of a finite tree."""
-    if tree is CUT:
-        return CUT
-    return Node(
-        tree.op,
-        tuple(apply(perm, a) for a in tree.atoms),
-        tuple(
-            (
-                tuple(apply(perm, b) for b in bound),
-                tuple(act_tree(perm, c) for c in children),
-            )
-            for bound, children in tree.groups
-        ),
-        tree.label,
-    )
+    """Apply a finite permutation to every atom of a finite tree.
+
+    An explicit-stack walk that maps each shared subtree once, so it
+    handles the deep and the shared trees :func:`unfold` produces.
+    """
+    image = {id(CUT): CUT}  # subtree id -> its image; the tree keeps ids alive
+    stack = [tree]
+    while stack:
+        t = stack.pop()
+        if id(t) in image:
+            continue
+        todo = [c for _, children in t.groups for c in children if id(c) not in image]
+        if todo:
+            stack += [t, *todo]
+            continue
+        image[id(t)] = Node(
+            t.op,
+            tuple(apply(perm, a) for a in t.atoms),
+            tuple(
+                (tuple(apply(perm, b) for b in bound),
+                 tuple(image[id(c)] for c in children))
+                for bound, children in t.groups
+            ),
+            t.label,
+        )
+    return image[id(tree)]
 
 
 def render_tree(tree, ascii_cut=False):
@@ -601,41 +612,36 @@ def parse_tree(signature, text):
     """Parse the s-expression syntax of :func:`render_tree`.
 
     The signature supplies the arities, so the flat atom/bound/child
-    spans inside each node can be split back apart.
+    spans inside each node can be split back apart.  A node is built when
+    its ``)`` is read, from items whose subtrees are already built, so
+    the parse keeps an explicit stack instead of recursing.
     """
-    tokens = _tokenize(text)
-    tree, pos = _parse_node(signature, tokens, 0)
-    if pos != len(tokens):
-        raise ValueError(f"trailing input at token {pos}")
-    return tree
-
-
-def _parse_atom(tokens, pos, what):
-    if pos >= len(tokens):
+    stack = [[]]  # the items of every open node; the bottom holds the result
+    for pos, token in enumerate(_tokenize(text)):
+        if len(stack) == 1 and stack[0]:
+            raise ValueError(f"trailing input at token {pos}")
+        if token == "(":
+            stack.append([])
+        elif token in ("⊥", "_"):
+            stack[-1].append(CUT)
+        elif len(stack) == 1:
+            raise ValueError(f"expected '(' or cut marker, got {token!r}")
+        elif token == ")":
+            items = stack.pop()
+            stack[-1].append(_build_node(signature, items))
+        else:
+            stack[-1].append(token)
+    if len(stack) != 1 or not stack[0]:
         raise ValueError("unexpected end of input")
-    try:
-        value = int(tokens[pos])
-    except ValueError:
-        raise ValueError(f"expected {what}, got {tokens[pos]!r}") from None
-    if value < 0:
-        raise ValueError(f"expected {what}, got {tokens[pos]!r}")
-    return value, pos + 1
+    return stack[0][0]
 
 
-def _parse_node(signature, tokens, pos):
-    if pos >= len(tokens):
-        raise ValueError("unexpected end of input")
-    token = tokens[pos]
-    if token in ("⊥", "_"):
-        return CUT, pos + 1
-    if token != "(":
-        raise ValueError(f"expected '(' or cut marker, got {token!r}")
-    pos += 1
-    if pos >= len(tokens):
-        raise ValueError("unexpected end of input")
-    head = tokens[pos]
-    pos += 1
-    op_name, _, label = head.partition(":")
+def _build_node(signature, items):
+    """The node whose parenthesised span holds ``items``: its tokens, with
+    each child already replaced by its tree or :data:`CUT`."""
+    if not items or not isinstance(items[0], str):
+        raise ValueError("expected an operation after '('")
+    op_name, _, label = items[0].partition(":")
     spec = signature.op(op_name)
     if label:
         if spec.labels is None or label not in spec.labels:
@@ -644,24 +650,35 @@ def _parse_node(signature, tokens, pos):
         label = None
         if spec.labels is not None:
             raise ValueError(f"operation '{op_name}' requires a label")
-    atoms = []
-    for _ in range(spec.atom_arity):
-        a, pos = _parse_atom(tokens, pos, "an atom")
-        atoms.append(a)
-    groups = []
-    for bound_count, child_count in spec.binder_groups:
-        bound = []
-        for _ in range(bound_count):
-            b, pos = _parse_atom(tokens, pos, "a bound atom")
-            bound.append(b)
-        children = []
-        for _ in range(child_count):
-            child, pos = _parse_node(signature, tokens, pos)
-            children.append(child)
-        groups.append((tuple(bound), tuple(children)))
-    if pos >= len(tokens) or tokens[pos] != ")":
+    rest = iter(items[1:])
+
+    def atom(what):
+        item = next(rest, ")")
+        try:
+            value = int(item)
+        except (TypeError, ValueError):
+            value = -1
+        if value < 0:
+            raise ValueError(f"expected {what}, got {item!r}")
+        return value
+
+    def child():
+        item = next(rest, ")")
+        if isinstance(item, str):
+            raise ValueError(f"expected '(' or cut marker, got {item!r}")
+        return item
+
+    atoms = tuple(atom("an atom") for _ in range(spec.atom_arity))
+    groups = tuple(
+        (
+            tuple(atom("a bound atom") for _ in range(bound_count)),
+            tuple(child() for _ in range(child_count)),
+        )
+        for bound_count, child_count in spec.binder_groups
+    )
+    if next(rest, None) is not None:
         raise ValueError(f"expected ')' closing '{op_name}'")
-    return Node(op_name, tuple(atoms), tuple(groups), label), pos + 1
+    return Node(op_name, atoms, groups, label)
 
 
 def signature_to_jsonable(signature):

@@ -3,6 +3,11 @@
 A value is an atom (plain int), a tuple of values, or any object exposing
 ``apply_perm(perm)`` and ``support()``.  Orbit elements, abstractions, and
 finitely supported functions all satisfy the protocol, so they nest freely.
+
+Every value type stores a canonical form, so equality in the protocol is
+plain ``==``: a tuple compares its items with ``==``, and the other types
+compare their canonical fields.  The one exception is ``DistinctFsFun``,
+whose ``==`` is the extensional test ``distinct_fs_eq``.
 """
 
 from __future__ import annotations
@@ -40,7 +45,9 @@ def support_value(value) -> frozenset[int]:
 
 
 def value_eq(a, b) -> bool:
-    """Equality in the protocol.  Canonical forms make this structural."""
-    if isinstance(a, tuple) and isinstance(b, tuple):
-        return len(a) == len(b) and all(value_eq(x, y) for x, y in zip(a, b))
-    return type(a) is type(b) and a == b
+    """Equality in the protocol, which canonical forms make plain ``==``.
+
+    ``DistinctFsFun`` is the one type whose ``==`` is extensional
+    (``distinct_fs_eq``) rather than a comparison of stored fields.
+    """
+    return a == b

@@ -318,6 +318,10 @@ def test_malformed_graph_exits_2(files, capsys, args, blob, message):
     (dict(L1_BLOB, accepting="acc"), "'accepting' must be a list"),
     (dict(L1_BLOB, delta=[]), "'delta' must be an object"),
     (_replaced(L1_BLOB, ("delta", "q0"), []), "must be an object"),
+    (_replaced(L1_BLOB, ("orbits", 0, "degree"), False),
+     "degree must be a nonnegative integer"),
+    (_replaced(L1_BLOB, ("orbits", 1, "degree"), True),
+     "degree must be a nonnegative integer"),
 ])
 def test_malformed_automaton_exits_2(files, capsys, blob, message):
     dfa = files("bad.json", blob)
@@ -325,6 +329,23 @@ def test_malformed_automaton_exits_2(files, capsys, blob, message):
     err = capsys.readouterr().err
     assert message in err
     assert err.endswith("\n") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("blob, message", [
+    ({"orbits": [{"name": "p", "degree": True}]},
+     "degree must be a nonnegative integer"),
+    (_replaced(SET_BLOB, ("orbits", 0, "generators"), [[True, False]]),
+     "generator (True, False) is not a permutation of 0..1"),
+    (_replaced(SET_BLOB, ("orbits", 1, "name"), None),
+     "orbit name None is not a string"),
+])
+def test_malformed_set_exits_2(files, capsys, blob, message):
+    setfile = files("bad.json", blob)
+    assert main(["orbits", setfile]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+    assert captured.err.endswith("\n") and captured.err.count("\n") == 1
 
 
 def test_non_finite_json_number_exits_2(tmp_path, capsys):
@@ -399,3 +420,12 @@ def test_fuzzed_automaton_keeps_exit_code_contract(tmp_path_factory, data, value
                  ["dfa-equiv", bad, good],
                  ["dfa-equiv", good, bad]):
         assert _run_quietly(argv) in (0, 1, 2)
+
+
+@FUZZ
+@given(data=st.data(), value=JSON_VALUES)
+def test_fuzzed_set_keeps_exit_code_contract(tmp_path_factory, data, value):
+    path = data.draw(st.sampled_from(list(_field_paths(SET_BLOB))))
+    bad, _ = _mutant_and_original(tmp_path_factory.mktemp("fuzz"), SET_BLOB, path, value)
+    # orbits has no negative answer: it prints (0) or rejects the file (2)
+    assert _run_quietly(["orbits", bad]) in (0, 2)

@@ -31,6 +31,7 @@ from nomfix.fsfunc import (
 from nomfix.nomset import CoordGroup, Element, OrbitDescriptor, OrbitFiniteSet, min_support
 from nomfix.perm import FinPerm, fresh, invert, make_perm
 from nomfix.values import act_value, support_value, value_eq
+from test_nomset import brute_min_support
 
 
 def oracle_apply(a, d, keys, vals, b):
@@ -273,6 +274,19 @@ def test_distinct_fs_eq_ignores_behaviour_off_distinct_tuples():
         # two different total extensions of the same restriction
         assert distinct_fs_eq(restrict_distinct(section(f, w1)),
                               restrict_distinct(section(f, w2)))
+
+
+def test_distinct_support_matches_brute_force():
+    rng = random.Random(59)
+    cases = [restrict_distinct(rand_nested2(rng)) for _ in range(12)]
+    # 5 and 9 occur only in the value at (5, 5), which is not a distinct pair
+    cases.append(restrict_distinct(fs_from_table(
+        {5: fs_from_table({5: (9,)}, (7, ()))}, (8, fs_from_table({}, (7, ()))))))
+    assert cases[-1].support() == frozenset()
+    assert cases[-1].inner.support() == frozenset({5, 9})
+    for f in cases:
+        cands = f.inner.support()
+        assert f.support() == brute_min_support(f, cands, eq=distinct_fs_eq)
 
 
 def strong_family():

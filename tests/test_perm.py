@@ -18,6 +18,7 @@ from nomfix.perm import (
     factor,
     fresh,
     invert,
+    is_atom,
     make_perm,
     perm_from_pairs,
     perm_to_pairs,
@@ -78,6 +79,18 @@ def test_identity_and_involution():
     assert make_perm([]) == FinPerm({})
     swap = make_perm([(3, 5)])
     assert compose(swap, swap) == FinPerm({})
+
+
+def test_make_perm_checks_every_transposition():
+    with pytest.raises(ValueError):
+        make_perm([(-1, 2), (-1, 2)])  # rejected although the word cancels
+    with pytest.raises(ValueError):
+        make_perm([(3, 3)])
+
+
+def test_is_atom():
+    assert is_atom(0) and is_atom(12)
+    assert not any(is_atom(x) for x in (-1, True, False, 1.0, "1", None))
 
 
 def test_finperm_rejects_bad_maps():

@@ -259,6 +259,40 @@ def test_tree_walks_handle_deep_trees():
     assert render_tree(chain(1)) == "(lam 1 " * 3000 + "⊥" + ")" * 3000
 
 
+def test_act_and_parse_handle_deep_trees():
+    graph = TermGraph(LAMBDA_SIG, {"s": Node("lam", (), (((0,), ("s",)),))})
+    chain = unfold(graph, "s", 3000)
+    text = "(lam 1 " * 3000 + "⊥" + ")" * 3000
+    assert render_tree(act_tree(make_perm([(0, 1)]), chain)) == text
+    assert render_tree(parse_tree(LAMBDA_SIG, text)) == text
+    assert tree_alpha_eq(parse_tree(LAMBDA_SIG, text), chain)
+
+
+def test_act_tree_maps_shared_subtrees_once():
+    # s = lam<0> app(s, s): 2^1500 paths, but one node object per level
+    graph = TermGraph(LAMBDA_SIG, {
+        "s": Node("lam", (), (((0,), ("b",)),)),
+        "b": Node("app", (), (((), ("s", "s")),)),
+    })
+    t = act_tree(make_perm([(0, 1)]), unfold(graph, "s", 3000))
+    levels = 0
+    while t is not CUT:
+        ((bound, (app,)),) = t.groups
+        assert (t.op, bound, app.op) == ("lam", (1,), "app")
+        left, right = app.groups[0][1]
+        assert left is right
+        t, levels = left, levels + 2
+    assert levels == 3000
+
+
+def test_parse_tree_rejects_malformed_text():
+    for text in ["", "(lam 0", "(lam 0 ⊥))", "(lam 0 ⊥) ⊥", "lam", ")",
+                 "(lam x ⊥)", "(lam 0 3)", "(lam 0 ⊥ ⊥)", "(var)", "()",
+                 "((var 0))", "(nope 0)", "(var -1)"]:
+        with pytest.raises(ValueError):
+            parse_tree(LAMBDA_SIG, text)
+
+
 def test_tree_alpha_eq_rejects_mismatched_arities():
     # hand-built trees are never validated against a signature
     assert not tree_alpha_eq(Node("var", (1,), ()), Node("var", (1, 2), ()))
