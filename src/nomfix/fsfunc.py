@@ -179,7 +179,7 @@ class DistinctFsFun:
     __slots__ = ("arity", "inner")
 
     def __init__(self, arity: int, inner: FsFun):
-        if not isinstance(arity, int) or arity < 1:
+        if isinstance(arity, bool) or not isinstance(arity, int) or arity < 1:
             raise ValueError("arity must be at least 1")
         if nesting_depth(inner) != arity:
             raise ValueError("inner nesting depth must equal the arity")

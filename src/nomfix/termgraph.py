@@ -157,6 +157,55 @@ class Node:
             tuple((tuple(bound), tuple(children)) for bound, children in self.groups),
         )
 
+    # Unfolded trees can be thousands of levels deep and share subtrees, so
+    # equality and hashing walk an explicit stack and visit each shared
+    # subtree, or pair of subtrees, once.
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        seen = {(id(self), id(other))}
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a.__class__ is not b.__class__:
+                return False
+            if (a.op, a.atoms, a.label, len(a.groups)) != (
+                b.op, b.atoms, b.label, len(b.groups)
+            ):
+                return False
+            for (bound_a, kids_a), (bound_b, kids_b) in zip(a.groups, b.groups):
+                if bound_a != bound_b or len(kids_a) != len(kids_b):
+                    return False
+                for ca, cb in zip(kids_a, kids_b):
+                    if not isinstance(ca, Node):
+                        if ca != cb:
+                            return False
+                    elif ca is not cb and (id(ca), id(cb)) not in seen:
+                        seen.add((id(ca), id(cb)))
+                        stack.append((ca, cb))
+        return True
+
+    def __hash__(self):
+        hashes = {}  # id of a subtree -> its hash
+        stack = [self]
+        while stack:
+            t = stack[-1]
+            todo = [
+                c for _, children in t.groups for c in children
+                if isinstance(c, Node) and id(c) not in hashes
+            ]
+            if todo:
+                stack += todo
+                continue
+            stack.pop()
+            groups = tuple(
+                (bound, tuple(hashes[id(c)] if isinstance(c, Node) else c for c in children))
+                for bound, children in t.groups
+            )
+            hashes[id(t)] = hash((t.op, t.atoms, groups, t.label))
+        return hashes[id(self)]
+
 
 TreeNode = Node  # the former name of tree nodes
 
@@ -283,46 +332,52 @@ def unfold(graph, state, depth):
     """Truncate the tree denoted by ``state`` at ``depth`` node levels.
 
     Depth 0 is :data:`CUT`; depth ``k`` shows ``k`` levels of nodes with
-    every pruned subtree replaced by :data:`CUT`.  Shared subtrees of the
-    result may be the same object, which is safe because trees are
-    immutable.
+    every pruned subtree replaced by :data:`CUT`.  Nodes are built only for
+    the states reached within ``depth``, one per state and level, so all
+    paths reaching a state at one level share its object: trees are immutable.
     """
     _require_valid(graph)
     _require_state(graph, state)
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    prev = {name: CUT for name in graph.states}
-    for _ in range(depth):
-        cur = {}
-        for name, node in graph.states.items():
+    states = graph.states
+    levels = [{state}] if depth else []
+    while len(levels) < depth and levels[-1]:
+        levels.append({c for s in levels[-1] for _, kids in states[s].groups for c in kids})
+    below = {}  # state -> its node one level down; empty below the last level
+    for level in reversed(levels):
+        nodes = {}
+        for name in level:
+            node = states[name]
             groups = tuple(
-                (bound, tuple(prev[c] for c in children))
+                (bound, tuple(below.get(c, CUT) for c in children))
                 for bound, children in node.groups
             )
-            cur[name] = Node(node.op, node.atoms, groups, node.label)
-        prev = cur
-    return prev[state]
+            nodes[name] = Node(node.op, node.atoms, groups, node.label)
+        below = nodes
+    return below.get(state, CUT)
 
 
 def _fv_map(graph):
-    """Free atoms of every state, sorted, as the least fixpoint of the equations."""
+    """Free atoms of every state, sorted, as the least fixpoint of the
+    equations: a worklist over reverse edges, seeded with each state's own
+    atoms, that re-queues a state only when it grows."""
     if graph._fv is not None:
         return graph._fv
-    fv = {name: frozenset() for name in graph.states}
-    changed = True
-    while changed:
-        changed = False
-        for name, node in graph.states.items():
-            acc = set(node.atoms)
-            for bound, children in node.groups:
-                below = set()
-                for c in children:
-                    below |= fv[c]
-                acc |= below - set(bound)
-            acc = frozenset(acc)
-            if acc != fv[name]:
-                fv[name] = acc
-                changed = True
+    fv = {name: set(node.atoms) for name, node in graph.states.items()}
+    parents = {name: [] for name in graph.states}
+    for name, node in graph.states.items():
+        for bound, children in node.groups:
+            for c in children:
+                parents[c].append((name, bound))
+    work = list(fv)
+    while work:
+        child = work.pop()
+        for parent, bound in parents[child]:
+            new = fv[child].difference(bound, fv[parent])
+            if new:
+                fv[parent] |= new
+                work.append(parent)
     graph._fv = {name: tuple(sorted(atoms)) for name, atoms in fv.items()}
     return graph._fv
 

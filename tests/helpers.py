@@ -22,6 +22,39 @@ def random_lambda_graph(rng, max_states=4, atom_pool=4):
     return TermGraph(LAMBDA_SIG, states), "s0"
 
 
+def unfold_oracle(graph, state, depth):
+    """Truncation at ``depth`` built for every state at every level, as
+    ``depth`` full passes over the graph; the graph must be valid."""
+    prev = {name: CUT for name in graph.states}
+    for _ in range(depth):
+        prev = {
+            name: Node(node.op, node.atoms, tuple(
+                (bound, tuple(prev[c] for c in children))
+                for bound, children in node.groups
+            ), node.label)
+            for name, node in graph.states.items()
+        }
+    return prev[state]
+
+
+def fv_oracle(graph):
+    """Free atoms of every state, by full passes over the equations until
+    none changes; the graph must be valid."""
+    fv = {name: frozenset() for name in graph.states}
+    changed = True
+    while changed:
+        changed = False
+        for name, node in graph.states.items():
+            acc = set(node.atoms)
+            for bound, children in node.groups:
+                for c in children:
+                    acc |= fv[c] - set(bound)
+            if acc != fv[name]:
+                fv[name] = frozenset(acc)
+                changed = True
+    return fv
+
+
 def debruijn(tree, env=None, depth=0):
     """Locally nameless form: bound atoms become binder coordinates.
 

@@ -236,6 +236,14 @@ def test_restrict_distinct_and_apply():
         distinct_apply(f, (2,))
 
 
+def test_distinct_fs_fun_rejects_bad_arity():
+    inner = fs_from_table({1: 2}, (7, 0))
+    for arity in (True, False, 0, 1.0):
+        with pytest.raises(ValueError, match="arity must be at least 1"):
+            DistinctFsFun(arity, inner)
+    assert DistinctFsFun(1, inner).arity == 1
+
+
 def test_section_roundtrip_arity_two():
     rng = random.Random(41)
     for _ in range(60):
