@@ -3,14 +3,16 @@
 Two pairs are identified when swapping their binders to a common fresh atom
 makes the bodies equal.  The constructor normalizes the binder to the least
 atom outside the body's remaining support, so structural equality on the
-stored form coincides with the class equality tested by abstr_eq.  Bodies
-are arbitrary protocol values, so abstractions nest and mix with tuples,
-orbit elements, and finitely supported functions.
+stored form coincides with the class equality tested by abstr_eq.  Only the
+constructor computes that support: the permutation action uses
+equivariance, supp(pi.x) = pi.supp(x), to pick the image's binder directly.
+Bodies are arbitrary protocol values, so abstractions nest and mix with
+tuples, orbit elements, and finitely supported functions.
 """
 
 from __future__ import annotations
 
-from .perm import FinPerm, fresh, is_atom, make_perm
+from .perm import FinPerm, apply_set, compose, fresh, is_atom, make_perm
 from .values import act_value, support_value
 
 
@@ -28,7 +30,16 @@ class Abstraction:
         self.body = body
 
     def apply_perm(self, f: FinPerm) -> "Abstraction":
-        return Abstraction(f(self.binder), act_value(f, self.body))
+        # By equivariance the image's support is f(support()), so its binder
+        # b' is the least atom outside that set, and its body is f.body with
+        # f(binder) renamed to b'.
+        out = Abstraction.__new__(Abstraction)
+        out.binder = fresh(apply_set(f, self.support()))
+        moved = f(self.binder)
+        if moved != out.binder:
+            f = compose(make_perm([(moved, out.binder)]), f)
+        out.body = act_value(f, self.body)
+        return out
 
     def support(self) -> frozenset[int]:
         return support_value(self.body) - {self.binder}

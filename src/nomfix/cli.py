@@ -12,6 +12,7 @@ import sys
 from .nomauto import dfa_accepts, dfa_brute_equiv, dfa_equiv, dfa_from_jsonable
 from .nomset import set_from_jsonable
 from .termgraph import (
+    CUT,
     alpha_bisim,
     free_atoms,
     graph_from_jsonable,
@@ -19,6 +20,12 @@ from .termgraph import (
     render_tree,
     unfold,
 )
+
+
+# Largest unfolding `unfold` prints, in nodes of the rendered tree (each
+# ``⊥`` counts as one).  Shared subtrees print once per path, so a graph as
+# small as ``s = app(s, s)`` doubles its rendering with every level.
+MAX_UNFOLD_NODES = 10**6
 
 
 class CliError(Exception):
@@ -98,9 +105,33 @@ def _cmd_raw_eq(args):
     return _verdict(answer, "raw-equivalent", "not raw-equivalent")
 
 
+def _rendered_nodes(tree):
+    """Node count of the rendering of ``tree``: one memoised pass over its
+    shared subtrees, so it costs their number, not the rendering's size."""
+    count = {}
+    stack = [tree]
+    while stack:
+        t = stack[-1]
+        if id(t) in count:
+            stack.pop()
+            continue
+        kids = () if t is CUT else [c for _, children in t.groups for c in children]
+        todo = [c for c in kids if id(c) not in count]
+        if todo:
+            stack.extend(todo)
+        else:
+            count[id(t)] = 1 + sum(count[id(c)] for c in kids)
+            stack.pop()
+    return count[id(tree)]
+
+
 def _cmd_unfold(args):
     graph = _load_graph(args.graph)
     tree = unfold(graph, args.state, args.depth)
+    nodes = _rendered_nodes(tree)
+    if nodes > MAX_UNFOLD_NODES:
+        raise CliError(f"unfolding has {nodes} nodes, more than the "
+                       f"{MAX_UNFOLD_NODES} that unfold prints")
     print(render_tree(tree, ascii_cut=args.ascii))
     return 0
 

@@ -8,7 +8,10 @@ lets one sample point represent the whole cofinite part.
 
 The constructor canonicalizes: keys become exactly the minimal support in
 ascending order, the default atom the least atom outside it.  Structural
-equality of canonical quadruples is extensional equality.
+equality of canonical quadruples is extensional equality.  The constructor
+is the only place that searches for a support: the permutation action uses
+equivariance, supp(pi.f) = pi.supp(f), to read the image's canonical form
+off the stored one in a single walk.
 
 Functions of several distinct atoms (curried, uniformly nested quadruples)
 support the gap-filling section construction: fill extends an arbitrary
@@ -22,7 +25,7 @@ import itertools
 from typing import Iterable, Mapping, Sequence
 
 from .nomset import is_strong, min_support
-from .perm import FinPerm, fresh, is_atom, make_perm
+from .perm import FinPerm, compose, fresh, is_atom, make_perm
 from .values import act_value, support_value
 
 
@@ -49,30 +52,40 @@ class FsFun:
         if len(keys) != len(values):
             raise ValueError("keys and values must have equal length")
 
-        def raw(b):
-            return _raw_apply(a, default_value, keys, values, b)
-
         cands = frozenset({a}) | frozenset(keys) | support_value(default_value)
         for v in values:
             cands |= support_value(v)
         z1 = fresh(cands)
         z2 = fresh(cands | {z1})
-        probes = sorted(cands) + [z1, z2]
+        # Each swap (u z1) below maps the probes onto themselves, and every
+        # atom under z1 is in cands, so fresh(supp) is a probe too: the raw
+        # quadruple is evaluated once per probe.
+        raw = {b: _raw_apply(a, default_value, keys, values, b)
+               for b in sorted(cands) + [z1, z2]}
         supp = []
         for u in sorted(cands):
             swap = make_perm([(u, z1)])
-            if any(act_value(swap, raw(swap(b))) != raw(b) for b in probes):
+            if any(act_value(swap, raw[swap(b)]) != x for b, x in raw.items()):
                 supp.append(u)
         self.keys = tuple(supp)
-        self.values = tuple(raw(k) for k in supp)
+        self.values = tuple(raw[k] for k in supp)
         self.default_atom = fresh(supp)
-        self.default_value = raw(self.default_atom)
+        self.default_value = raw[self.default_atom]
 
     def apply_perm(self, f: FinPerm) -> "FsFun":
-        return FsFun(f(self.default_atom),
-                     act_value(f, self.default_value),
-                     tuple(f(k) for k in self.keys),
-                     tuple(act_value(f, v) for v in self.values))
+        # By equivariance the image is supported by f(keys) and maps f(k) to
+        # f.v.  It maps f(a) to f.d, and the new default atom a' to
+        # (f(a) a').f.d, since neither f(a) nor a' is in its support.
+        table = sorted(zip(map(f, self.keys), self.values), key=lambda kv: kv[0])
+        out = FsFun.__new__(FsFun)
+        out.keys = tuple(k for k, _ in table)
+        out.values = tuple(act_value(f, v) for _, v in table)
+        out.default_atom = fresh(out.keys)
+        moved = f(self.default_atom)
+        if moved != out.default_atom:
+            f = compose(make_perm([(moved, out.default_atom)]), f)
+        out.default_value = act_value(f, self.default_value)
+        return out
 
     def support(self) -> frozenset[int]:
         return frozenset(self.keys)

@@ -28,10 +28,10 @@ class FinPerm:
     __slots__ = ("_map",)
 
     def __init__(self, mapping: dict[int, int]):
-        cleaned = {a: b for a, b in mapping.items() if a != b}
-        for a, b in cleaned.items():
-            if a < 0 or b < 0:
+        for a, b in mapping.items():
+            if not (is_atom(a) and is_atom(b)):
                 raise ValueError("atoms are nonnegative integers")
+        cleaned = {a: b for a, b in mapping.items() if a != b}
         if len(set(cleaned.values())) != len(cleaned):
             raise ValueError("permutation must be injective")
         if set(cleaned.values()) != set(cleaned.keys()):
@@ -77,16 +77,19 @@ def make_perm(transpositions: Iterable[tuple[int, int]]) -> FinPerm:
     for x, y in transpositions:
         if x == y:
             raise ValueError("transposition needs two distinct atoms")
-        if x < 0 or y < 0:
+        if not (is_atom(x) and is_atom(y)):
             raise ValueError("atoms are nonnegative integers")
         # precompose with (x y): x now goes where y went, and y where x went
         m[x], m[y] = m.get(y, y), m.get(x, x)
-    return FinPerm(m)
+    # a product of transpositions of checked atoms is a permutation already
+    f = FinPerm.__new__(FinPerm)
+    f._map = {a: b for a, b in m.items() if a != b}
+    return f
 
 
 def apply(f: FinPerm, atom: int) -> int:
     """Image of one atom under ``f``."""
-    if atom < 0:
+    if not is_atom(atom):
         raise ValueError("atoms are nonnegative integers")
     return f(atom)
 

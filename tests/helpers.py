@@ -2,7 +2,10 @@
 
 import itertools
 
+from nomfix.abstraction import Abstraction
+from nomfix.fsfunc import DistinctFsFun, FsFun
 from nomfix.termgraph import CUT, LAMBDA_SIG, Node, TermGraph
+from nomfix.values import act_value
 
 
 def random_lambda_graph(rng, max_states=4, atom_pool=4):
@@ -53,6 +56,24 @@ def fv_oracle(graph):
                 fv[name] = frozenset(acc)
                 changed = True
     return fv
+
+
+def rebuild_apply_perm(f, value):
+    """The action that rebuilds every ``FsFun`` and ``Abstraction`` through
+    its canonicalising constructor, recursively, so each image's support is
+    searched for afresh instead of read off by equivariance."""
+    if isinstance(value, tuple):
+        return tuple(rebuild_apply_perm(f, v) for v in value)
+    if isinstance(value, FsFun):
+        return FsFun(f(value.default_atom),
+                     rebuild_apply_perm(f, value.default_value),
+                     tuple(map(f, value.keys)),
+                     tuple(rebuild_apply_perm(f, v) for v in value.values))
+    if isinstance(value, Abstraction):
+        return Abstraction(f(value.binder), rebuild_apply_perm(f, value.body))
+    if isinstance(value, DistinctFsFun):
+        return DistinctFsFun(value.arity, rebuild_apply_perm(f, value.inner))
+    return act_value(f, value)
 
 
 def debruijn(tree, env=None, depth=0):

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -365,6 +366,23 @@ def test_deep_unfold_is_printed(files, capsys):
     g = files("deep.json", blob)
     assert main(["unfold", g, "s", "--depth", "3000"]) == 0
     assert capsys.readouterr().out == "(lam 0 " * 3000 + "⊥" + ")" * 3000 + "\n"
+
+
+def test_exponential_unfold_exits_2(files, capsys):
+    blob = {"sig": "lambda", "states": {
+        "s": {"op": "app", "atoms": [],
+              "groups": [{"bound_atoms": [], "children": ["s", "s"]}]},
+    }}
+    g = files("doubling.json", blob)
+    start = time.perf_counter()
+    assert main(["unfold", g, "s", "--depth", "20"]) == 2
+    assert time.perf_counter() - start < 0.5
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "unfolding has 2097151 nodes, more than the 1000000 that unfold prints\n"
+    # 2^18 - 1 app nodes and 2^18 cuts stay under the guard
+    assert main(["unfold", g, "s", "--depth", "18"]) == 0
+    assert capsys.readouterr().out.count("(app") == 2**18 - 1
 
 
 JSON_VALUES = st.recursive(

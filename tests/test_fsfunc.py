@@ -28,9 +28,11 @@ from nomfix.fsfunc import (
     strong_exponent_apply,
     uniq,
 )
+from nomfix.abstraction import Abstraction
 from nomfix.nomset import CoordGroup, Element, OrbitDescriptor, OrbitFiniteSet, min_support
-from nomfix.perm import FinPerm, fresh, invert, make_perm
+from nomfix.perm import FinPerm, apply_set, fresh, invert, make_perm
 from nomfix.values import act_value, support_value, value_eq
+from helpers import rebuild_apply_perm
 from test_nomset import brute_min_support
 
 
@@ -337,3 +339,44 @@ def test_fsfun_values_nest_in_abstractions():
     a2 = abstr(3, act_value(make_perm([(1, 3)]), f))
     assert abstr_eq(a1, a2)
     assert a1.support() == f.support() - {1}
+
+
+def rand_value(rng, depth=2):
+    """A random nested value: atoms, tuples, abstractions (vacuous binders
+    included), FsFuns at depth 1-2 and over other values, and restrictions."""
+    kind = rng.randrange(8 if depth > 1 else 5) if depth else 0
+    if kind == 0:
+        return rng.randrange(6)
+    if kind == 1:
+        return tuple(rand_value(rng, depth - 1) for _ in range(rng.randrange(4)))
+    if kind in (2, 3):
+        body = rand_value(rng, depth - 1)
+        if kind == 3:  # vacuous binder
+            return Abstraction(fresh(support_value(body)) + rng.randrange(3), body)
+        return Abstraction(rng.randrange(6), body)
+    if kind == 4:
+        return rand_inner(rng, 5)
+    if kind == 5:
+        table = {k: rand_value(rng, depth - 1) for k in rng.sample(range(5), rng.randrange(3))}
+        return fs_from_table(table, (fresh(set(table) | {5}), rand_value(rng, depth - 1)))
+    if kind == 6:
+        return rand_nested2(rng, 3)
+    return restrict_distinct(rand_inner(rng) if rng.random() < 0.5 else rand_nested2(rng, 3))
+
+
+def test_action_matches_constructor_rebuild():
+    rng = random.Random(59)
+    for _ in range(1000):
+        value = rand_value(rng)
+        support = support_value(value)
+        for _ in range(2):
+            pi = make_perm([tuple(rng.sample(range(9), 2)) for _ in range(rng.randrange(1, 5))])
+            out = act_value(pi, value)
+            # repr is structural, where DistinctFsFun's == is extensional
+            assert repr(out) == repr(rebuild_apply_perm(pi, value))
+            # the image is a fixed point of its constructor, hence canonical
+            if isinstance(out, FsFun):
+                assert repr(FsFun(out.default_atom, out.default_value, out.keys, out.values)) == repr(out)
+            if isinstance(out, Abstraction):
+                assert repr(Abstraction(out.binder, out.body)) == repr(out)
+            assert support_value(out) == apply_set(pi, support)

@@ -93,6 +93,21 @@ def test_is_atom():
     assert not any(is_atom(x) for x in (-1, True, False, 1.0, "1", None))
 
 
+@pytest.mark.parametrize("build", [
+    lambda: make_perm([(0.5, 1)]),
+    lambda: make_perm([(True, 2)]),
+    lambda: make_perm([(2, "3")]),
+    lambda: FinPerm({0.5: 1, 1: 0.5}),
+    lambda: FinPerm({True: 2, 2: True}),
+    lambda: FinPerm({1: True}),  # equal to a self-map, but not an atom
+    lambda: apply(make_perm([(0, 1)]), True),
+    lambda: apply(FinPerm({}), 1.0),
+])
+def test_non_atoms_are_rejected(build):
+    with pytest.raises(ValueError, match="atoms are nonnegative integers"):
+        build()
+
+
 def test_finperm_rejects_bad_maps():
     with pytest.raises(ValueError):
         FinPerm({0: 1})  # not closed: 1 has no image
