@@ -75,13 +75,10 @@ def _parse_word(text):
         return ()
     word = []
     for part in text.split(","):
-        try:
-            atom = int(part)
-        except ValueError:
-            raise CliError(f"bad letter {part!r} in word") from None
-        if atom < 0:
+        # int() would also take signs, spaces, "_" and non-ASCII digits
+        if not (part.isascii() and part.isdigit()):
             raise CliError(f"bad letter {part!r} in word")
-        word.append(atom)
+        word.append(int(part))
     return tuple(word)
 
 

@@ -11,13 +11,17 @@ target orbit's registers from the old ones and the letter.
 Because the only test a machine can perform is equality against stored
 atoms, language equivalence is decidable: :func:`dfa_equiv` explores pairs
 of concrete states but deduplicates them up to renaming, which leaves
-finitely many equality patterns.  :func:`dfa_brute_equiv` is the naive
-word-by-word comparison used to cross-check it.
+finitely many equality patterns.  It steps plain ``(orbit, registers)``
+tuples through rules compiled once per call and keys a pair by where each
+register of one machine sits among the other's, which fixes the pair up to
+renaming because registers are pairwise distinct.  :func:`dfa_brute_equiv`
+is the naive word-by-word comparison on ``Element`` states that checks it.
 """
 
 import itertools
 from collections import deque
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .nomset import CoordGroup, Element, OrbitDescriptor, OrbitFiniteSet
 from .perm import fresh, is_atom
@@ -171,21 +175,23 @@ def dfa_accepts(dfa, word):
     return state.orbit in dfa.accepting
 
 
-def _pair_pattern(e1, e2):
-    """Joint equality pattern of two states, blind to concrete atom names.
-
-    Atoms are replaced by their first-occurrence rank across both register
-    tuples.  Pairs with equal patterns are related by a permutation, so
-    they accept exactly the same words up to renaming — which for an
-    equivalence check is all that matters.
-    """
-    rank = {}
-    pattern = []
-    for atom in e1.registers + e2.registers:
-        if atom not in rank:
-            rank[atom] = len(rank)
-        pattern.append(rank[atom])
-    return e1.orbit, e2.orbit, tuple(pattern)
+def _compile(dfa):
+    """Each orbit's rules as a tuple of ``(target orbit, picker)`` entries,
+    one per equal case and then the fresh case, so index ``-1`` is fresh.
+    A picker maps ``registers + (letter,)`` to the target's registers."""
+    table = {}
+    for name, rules in dfa.delta.items():
+        degree = dfa.family.orbit(name).degree
+        entries = []
+        for expr in rules.equal_cases + (rules.fresh_case,):
+            idx = [degree if s == INPUT else s for s in expr.sources]
+            if len(idx) > 1:
+                pick = itemgetter(*idx)
+            else:  # itemgetter of one index returns a scalar, not a tuple
+                pick = lambda regs, idx=idx: tuple([regs[i] for i in idx])
+            entries.append((expr.orbit, pick))
+        table[name] = tuple(entries)
+    return table
 
 
 def dfa_equiv(d1, d2):
@@ -193,24 +199,32 @@ def dfa_equiv(d1, d2):
 
     Returns ``(True, None)`` or ``(False, word)`` with a shortest
     distinguishing word.  The search walks concrete state pairs
-    breadth-first; from each pair it suffices to try each stored atom plus
-    one atom fresh for both machines, because all other fresh letters lead
-    to pairs with the same pattern.
+    ``(orbit, registers)`` breadth-first through each machine's compiled
+    rules; from each pair it suffices to try each stored atom plus one atom
+    fresh for both machines, because all other fresh letters lead to pairs
+    with the same pattern.  A pair is keyed by its two orbits and, for each
+    register of the second machine, the position of the equal register of
+    the first (or ``-1``).  Each machine's registers are pairwise distinct,
+    so two pairs get the same key exactly when a permutation maps one onto
+    the other, and then they accept the same words up to renaming.
     """
-    e1, e2 = dfa_initial(d1), dfa_initial(d2)
-    seen = {_pair_pattern(e1, e2)}
-    queue = deque([(e1, e2, ())])
+    t1, t2 = _compile(d1), _compile(d2)
+    seen = {(d1.initial, d2.initial, ())}
+    queue = deque([(d1.initial, (), d2.initial, (), ())])
     while queue:
-        e1, e2, word = queue.popleft()
-        if (e1.orbit in d1.accepting) != (e2.orbit in d2.accepting):
+        o1, r1, o2, r2, word = queue.popleft()
+        if (o1 in d1.accepting) != (o2 in d2.accepting):
             return False, word
-        joint = set(e1.registers) | set(e2.registers)
+        rules1, rules2 = t1[o1], t2[o2]
+        joint = set(r1).union(r2)
         for atom in sorted(joint) + [fresh(joint)]:
-            f1, f2 = dfa_step(d1, e1, atom), dfa_step(d2, e2, atom)
-            pattern = _pair_pattern(f1, f2)
-            if pattern not in seen:
-                seen.add(pattern)
-                queue.append((f1, f2, word + (atom,)))
+            p1, pick1 = rules1[r1.index(atom) if atom in r1 else -1]
+            p2, pick2 = rules2[r2.index(atom) if atom in r2 else -1]
+            q1, q2 = pick1(r1 + (atom,)), pick2(r2 + (atom,))
+            key = (p1, p2, tuple([q1.index(a) if a in q1 else -1 for a in q2]))
+            if key not in seen:
+                seen.add(key)
+                queue.append((p1, q1, p2, q2, word + (atom,)))
     return True, None
 
 

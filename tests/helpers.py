@@ -114,29 +114,38 @@ def all_words(pool, max_len):
         yield from itertools.product(range(pool), repeat=length)
 
 
-def random_dfa(rng, max_orbits=3, max_degree=2):
+def random_dfa(rng, max_orbits=3, max_degree=2, chain=False):
     """A valid random deterministic nominal automaton.
 
     The initial orbit has degree 0, every orbit gets a full rule set, and
     source pools respect the collision rule for equal cases, so the result
-    always passes construction-time validation.
+    always passes construction-time validation.  With ``chain`` the fresh
+    case of ``p{i}`` leads to ``p{i+1}``, whose degree is mostly one more,
+    so every orbit is reachable and high degrees are actually used.
     """
     from nomfix.nomauto import INPUT, NomDFA, OrbitRules, TargetExpr
 
     count = rng.randrange(1, max_orbits + 1)
     names = [f"p{i}" for i in range(count)]
     degrees = {names[0]: 0}
-    for name in names[1:]:
-        degrees[name] = rng.randrange(max_degree + 1)
+    for prev, name in zip(names, names[1:]):
+        if not chain:
+            degrees[name] = rng.randrange(max_degree + 1)
+        elif rng.random() < 0.75:
+            degrees[name] = min(max_degree, degrees[prev] + 1)
+        else:
+            degrees[name] = rng.randrange(min(max_degree, degrees[prev] + 1) + 1)
+    after = dict(zip(names, names[1:])) if chain else {}
 
-    def expr(degree, equal_index):
+    def expr(degree, equal_index, target=None):
         if equal_index is None:
             pool = [INPUT] + list(range(degree))
         elif rng.random() < 0.5:
             pool = [INPUT] + [i for i in range(degree) if i != equal_index]
         else:
             pool = list(range(degree))
-        target = rng.choice([t for t in names if degrees[t] <= len(pool)])
+        if target is None:
+            target = rng.choice([t for t in names if degrees[t] <= len(pool)])
         return TargetExpr(target, tuple(rng.sample(pool, degrees[target])))
 
     delta = {}
@@ -144,7 +153,43 @@ def random_dfa(rng, max_orbits=3, max_degree=2):
         degree = degrees[name]
         delta[name] = OrbitRules(
             tuple(expr(degree, j) for j in range(degree)),
-            expr(degree, None),
+            expr(degree, None, after.get(name)),
         )
     accepting = frozenset(n for n in names if rng.random() < 0.5)
     return NomDFA(degrees, names[0], accepting, delta)
+
+
+def element_dfa_equiv(d1, d2):
+    """Reference for :func:`nomfix.nomauto.dfa_equiv`: the same
+    breadth-first search on :class:`~nomfix.nomset.Element` states through
+    ``dfa_step``, deduplicated by each pair's first-occurrence rank pattern.
+    """
+    from collections import deque
+
+    from nomfix.nomauto import dfa_initial, dfa_step
+    from nomfix.perm import fresh
+
+    def pattern(e1, e2):
+        rank = {}
+        pattern = []
+        for atom in e1.registers + e2.registers:
+            if atom not in rank:
+                rank[atom] = len(rank)
+            pattern.append(rank[atom])
+        return e1.orbit, e2.orbit, tuple(pattern)
+
+    e1, e2 = dfa_initial(d1), dfa_initial(d2)
+    seen = {pattern(e1, e2)}
+    queue = deque([(e1, e2, ())])
+    while queue:
+        e1, e2, word = queue.popleft()
+        if (e1.orbit in d1.accepting) != (e2.orbit in d2.accepting):
+            return False, word
+        joint = set(e1.registers) | set(e2.registers)
+        for atom in sorted(joint) + [fresh(joint)]:
+            f1, f2 = dfa_step(d1, e1, atom), dfa_step(d2, e2, atom)
+            key = pattern(f1, f2)
+            if key not in seen:
+                seen.add(key)
+                queue.append((f1, f2, word + (atom,)))
+    return True, None

@@ -191,6 +191,23 @@ def test_dfa_run_rejects_bad_word(files, capsys):
     assert "x" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "word", ["1_0,10", " 7,+7", "\u0663,3", "3, 3", "3,-3", "3,,3", "3,", "3.0"]
+)
+def test_dfa_run_takes_only_ascii_digits(files, capsys, word):
+    dfa = files("l1.json", L1_BLOB)
+    assert main(["dfa-run", dfa, word]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("bad letter ")
+
+
+def test_dfa_run_letter_past_the_int_digit_limit_exits_2(files, capsys):
+    dfa = files("l1.json", L1_BLOB)
+    assert main(["dfa-run", dfa, "9" * 5000]) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_dfa_equiv_golden(files, capsys):
     l1 = files("l1.json", L1_BLOB)
     renamed = files("l1b.json", L1_RENAMED_BLOB)

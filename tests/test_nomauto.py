@@ -10,7 +10,8 @@ import random
 
 import pytest
 
-from nomfix.nomset import CoordGroup, OrbitDescriptor, OrbitFiniteSet
+from nomfix import nomauto
+from nomfix.nomset import CoordGroup, Element, OrbitDescriptor, OrbitFiniteSet
 from nomfix.nomauto import (
     INPUT,
     NomDFA,
@@ -26,7 +27,7 @@ from nomfix.nomauto import (
 )
 from nomfix.perm import apply, make_perm
 
-from helpers import random_dfa
+from helpers import element_dfa_equiv, random_dfa
 
 
 def l1_dfa():
@@ -259,3 +260,125 @@ def test_json_rejects_bad_source_entries():
     broken["delta"]["q0"]["fresh"]["sources"] = ["letter"]
     with pytest.raises(ValueError):
         dfa_from_jsonable(broken)
+
+
+def reachable_orbits(dfa):
+    """Every orbit some word reaches: each rule can fire, since registers
+    are distinct atoms that a letter can equal or avoid."""
+    reach, stack = {dfa.initial}, [dfa.initial]
+    while stack:
+        rules = dfa.delta[stack.pop()]
+        for expr in rules.equal_cases + (rules.fresh_case,):
+            if expr.orbit not in reach:
+                reach.add(expr.orbit)
+                stack.append(expr.orbit)
+    return sorted(reach)
+
+
+def renamed_copy(dfa, rng):
+    """The same language under new orbit names and permuted register slots:
+    new register ``i`` of orbit ``o`` holds old register ``order[o][i]``."""
+    degree = {o.name: o.degree for o in dfa.family.orbits}
+    fresh_names = [f"r{i}" for i in range(len(degree))]
+    name = dict(zip(degree, rng.sample(fresh_names, len(degree))))
+    order = {o: rng.sample(range(k), k) for o, k in degree.items()}
+
+    def moved(expr, source):
+        # old source register s of the source orbit is new register order.index(s)
+        new = [expr.sources[i] for i in order[expr.orbit]]
+        new = [s if s == INPUT else order[source].index(s) for s in new]
+        return TargetExpr(name[expr.orbit], tuple(new))
+
+    delta = {
+        name[o]: OrbitRules(
+            tuple(moved(rules.equal_cases[i], o) for i in order[o]),
+            moved(rules.fresh_case, o),
+        )
+        for o, rules in dfa.delta.items()
+    }
+    return NomDFA({name[o]: k for o, k in degree.items()}, name[dfa.initial],
+                  {name[o] for o in dfa.accepting}, delta)
+
+
+def flipped_copy(dfa, rng):
+    """The machine with the acceptance of one reachable orbit flipped."""
+    flip = rng.choice(reachable_orbits(dfa))
+    degrees = {o.name: o.degree for o in dfa.family.orbits}
+    return NomDFA(degrees, dfa.initial, dfa.accepting ^ {flip}, dfa.delta)
+
+
+def rewired_copy(dfa, rng):
+    """The machine with one rule of a reachable orbit redrawn at random,
+    so the two differ only after some letter equals, or avoids, the
+    registers in one particular way."""
+    name = rng.choice(reachable_orbits(dfa))
+    degree = dfa.family.orbit(name).degree
+    case = rng.randrange(degree + 1)
+    if case == degree:
+        pool = [INPUT] + list(range(degree))
+    else:
+        pool = [INPUT] + [i for i in range(degree) if i != case]
+    degrees = {o.name: o.degree for o in dfa.family.orbits}
+    target = rng.choice([t for t in degrees if degrees[t] <= len(pool)])
+    expr = TargetExpr(target, tuple(rng.sample(pool, degrees[target])))
+    rules = dfa.delta[name]
+    if case == degree:
+        rules = OrbitRules(rules.equal_cases, expr)
+    else:
+        cases = list(rules.equal_cases)
+        cases[case] = expr
+        rules = OrbitRules(cases, rules.fresh_case)
+    return NomDFA(degrees, dfa.initial, dfa.accepting, {**dfa.delta, name: rules})
+
+
+def test_equiv_matches_element_search_exactly():
+    rng = random.Random(43)
+    verdicts = {True: 0, False: 0}
+    for i in range(600):
+        chain = i % 2 == 0
+        sizes = (5, 4) if chain else (rng.randint(1, 5), rng.randint(0, 4))
+        d1 = random_dfa(rng, *sizes, chain)
+        if i % 3 == 0:
+            d2 = random_dfa(rng, *sizes, chain)
+        elif i % 3 == 1:
+            d2 = renamed_copy(d1, rng)
+        else:
+            d2 = flipped_copy(d1, rng)
+        d3 = renamed_copy(rewired_copy(d1, rng), rng)
+        assert dfa_equiv(d1, d3) == element_dfa_equiv(d1, d3)
+        answer = dfa_equiv(d1, d2)
+        assert answer == element_dfa_equiv(d1, d2)
+        assert dfa_equiv(d2, d1) == element_dfa_equiv(d2, d1)
+        verdicts[answer[0]] += 1
+        if i % 3 == 1:
+            assert answer == (True, None)
+        elif i % 3 == 2:
+            assert not answer[0]
+    assert min(verdicts.values()) > 200
+
+
+def test_equiv_search_builds_no_elements():
+    rng = random.Random(47)
+    while True:
+        d1 = random_dfa(rng, 5, 3, chain=True)
+        reach = reachable_orbits(d1)
+        if any(d1.family.orbit(o).degree == 3 for o in reach) and len(reach) >= 4:
+            break
+    d2 = renamed_copy(d1, rng)
+    built = 0
+
+    class CountingElement(Element):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            nonlocal built
+            built += 1
+            super().__init__(*args)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(nomauto, "Element", CountingElement)
+        assert dfa_equiv(d1, d2) == (True, None)
+        assert built == 0
+        # the wrapper does see the Element path
+        assert element_dfa_equiv(d1, d2) == (True, None)
+    assert built > 0
