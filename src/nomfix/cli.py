@@ -12,7 +12,7 @@ import sys
 from .nomauto import dfa_accepts, dfa_brute_equiv, dfa_equiv, dfa_from_jsonable
 from .nomset import set_from_jsonable
 from .termgraph import (
-    CUT,
+    _fold_tree,
     alpha_bisim,
     free_atoms,
     graph_from_jsonable,
@@ -105,21 +105,8 @@ def _cmd_raw_eq(args):
 def _rendered_nodes(tree):
     """Node count of the rendering of ``tree``: one memoised pass over its
     shared subtrees, so it costs their number, not the rendering's size."""
-    count = {}
-    stack = [tree]
-    while stack:
-        t = stack[-1]
-        if id(t) in count:
-            stack.pop()
-            continue
-        kids = () if t is CUT else [c for _, children in t.groups for c in children]
-        todo = [c for c in kids if id(c) not in count]
-        if todo:
-            stack.extend(todo)
-        else:
-            count[id(t)] = 1 + sum(count[id(c)] for c in kids)
-            stack.pop()
-    return count[id(tree)]
+    return _fold_tree(tree, lambda t, groups: 1 + sum(sum(kids) for _, kids in groups),
+                      lambda leaf: 1)
 
 
 def _cmd_unfold(args):

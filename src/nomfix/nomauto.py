@@ -14,17 +14,18 @@ of concrete states but deduplicates them up to renaming, which leaves
 finitely many equality patterns.  It steps plain ``(orbit, registers)``
 tuples through rules compiled once per call and keys a pair by where each
 register of one machine sits among the other's, which fixes the pair up to
-renaming because registers are pairwise distinct.  :func:`dfa_brute_equiv`
-is the naive word-by-word comparison on ``Element`` states that checks it.
+renaming because registers are pairwise distinct; :func:`nomfix.search.bfs`
+runs the search.  :func:`dfa_brute_equiv` is the naive word-by-word
+comparison on ``Element`` states that checks it.
 """
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from operator import itemgetter
 
 from .nomset import CoordGroup, Element, OrbitDescriptor, OrbitFiniteSet
 from .perm import fresh, is_atom
+from .search import bfs
 
 __all__ = [
     "INPUT",
@@ -209,23 +210,28 @@ def dfa_equiv(d1, d2):
     the other, and then they accept the same words up to renaming.
     """
     t1, t2 = _compile(d1), _compile(d2)
-    seen = {(d1.initial, d2.initial, ())}
-    queue = deque([(d1.initial, (), d2.initial, (), ())])
-    while queue:
-        o1, r1, o2, r2, word = queue.popleft()
+
+    # A child keeps its parent's word and its own letter apart: most
+    # children repeat a key and are dropped before that word is copied.
+    def expand(config):
+        o1, r1, o2, r2, word, letter = config
         if (o1 in d1.accepting) != (o2 in d2.accepting):
-            return False, word
+            return None
+        word += letter
         rules1, rules2 = t1[o1], t2[o2]
         joint = set(r1).union(r2)
+        out = []
         for atom in sorted(joint) + [fresh(joint)]:
             p1, pick1 = rules1[r1.index(atom) if atom in r1 else -1]
             p2, pick2 = rules2[r2.index(atom) if atom in r2 else -1]
             q1, q2 = pick1(r1 + (atom,)), pick2(r2 + (atom,))
             key = (p1, p2, tuple([q1.index(a) if a in q1 else -1 for a in q2]))
-            if key not in seen:
-                seen.add(key)
-                queue.append((p1, q1, p2, q2, word + (atom,)))
-    return True, None
+            out.append((key, (p1, q1, p2, q2, word, (atom,))))
+        return out
+
+    root = (d1.initial, (), d2.initial, (), (), ())
+    bad = bfs(((d1.initial, d2.initial, ()), root), expand)[0]
+    return (True, None) if bad is None else (False, bad[4] + bad[5])
 
 
 def dfa_brute_equiv(d1, d2, max_len, pool):

@@ -15,25 +15,18 @@ import math
 from typing import Iterable, Optional, Sequence
 
 from .perm import FinPerm, fresh, is_atom, make_perm
+from .search import bfs
 from .values import act_value
 
 MAX_DEGREE = 8
 
 
 def _mulclose(degree: int, generators: Sequence[tuple[int, ...]]) -> frozenset[tuple[int, ...]]:
+    def expand(p):
+        return [(q, q) for q in (tuple(p[i] for i in g) for g in generators)]
+
     identity = tuple(range(degree))
-    seen = {identity}
-    frontier = [identity]
-    while frontier:
-        step = []
-        for p in frontier:
-            for g in generators:
-                q = tuple(p[g[i]] for i in range(degree))
-                if q not in seen:
-                    seen.add(q)
-                    step.append(q)
-        frontier = step
-    return frozenset(seen)
+    return frozenset(bfs((identity, identity), expand)[1])
 
 
 class CoordGroup:

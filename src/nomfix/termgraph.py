@@ -11,17 +11,19 @@ the pruned subtrees.  Equations and tree nodes are both :class:`Node`.
 
 Two notions of behavioural equivalence are provided: :func:`raw_bisim`
 compares denoted trees literally, while :func:`alpha_bisim` compares them
-up to renaming of bound atoms.  Both run one closure, ``_closure``, over a
+up to renaming of bound atoms.  Both run :func:`nomfix.search.bfs` over a
 finite set of state-pair configurations, so they terminate even though the
 denoted trees are infinite; they differ only in the step that matches one
-pair of nodes.  :func:`truncation_eq` is the alpha-aware closure cut off at
-a depth, so it never materialises the truncations.
+pair of nodes.  :func:`truncation_eq` is the alpha-aware search cut off at
+a depth, so it never materialises the truncations.  Walks over finite
+trees that visit each shared subtree once are one fold, ``_fold_tree``.
 """
 
 from dataclasses import dataclass
 from types import MappingProxyType
 
 from .perm import apply, is_atom
+from .search import bfs
 
 __all__ = [
     "CUT",
@@ -84,14 +86,14 @@ class OpSpec:
     def __post_init__(self):
         if not self.name:
             raise ValueError("operation name must be nonempty")
-        if self.atom_arity < 0:
-            raise ValueError("atom arity must be nonnegative")
-        groups = tuple((int(b), int(c)) for b, c in self.binder_groups)
+        if not is_atom(self.atom_arity):
+            raise ValueError(f"atom arity {self.atom_arity!r} is not a nonnegative integer")
+        groups = tuple((b, c) for b, c in self.binder_groups)
         for bound, children in groups:
-            if bound < 0:
-                raise ValueError("bound count must be nonnegative")
-            if children < 1:
-                raise ValueError("each binder group needs at least one child")
+            if not is_atom(bound):
+                raise ValueError(f"bound count {bound!r} is not a nonnegative integer")
+            if not is_atom(children) or children < 1:
+                raise ValueError(f"child count {children!r} is not a positive integer")
         object.__setattr__(self, "binder_groups", groups)
         if self.labels is not None:
             object.__setattr__(self, "labels", frozenset(self.labels))
@@ -187,27 +189,36 @@ class Node:
         return True
 
     def __hash__(self):
-        hashes = {}  # id of a subtree -> its hash
-        stack = [self]
-        while stack:
-            t = stack[-1]
-            todo = [
-                c for _, children in t.groups for c in children
-                if isinstance(c, Node) and id(c) not in hashes
-            ]
+        return _fold_tree(self, lambda t, groups: hash((t.op, t.atoms, groups, t.label)),
+                          lambda leaf: leaf)
+
+
+TreeNode = Node  # the former name of tree nodes
+
+
+def _fold_tree(tree, node, leaf):
+    """Fold a finite tree bottom up, ``leaf(t)`` at a non-:class:`Node`
+    such as :data:`CUT` and ``node(t, groups)`` at a node, whose ``groups``
+    have each child replaced by its fold.  A post-order walk on an explicit
+    stack that folds each shared subtree once, so deep trees fold too."""
+    done = {}  # subtree id -> its fold; the tree keeps the ids alive
+    stack = [tree]
+    while stack:
+        t = stack[-1]
+        if id(t) in done:
+            stack.pop()
+        elif not isinstance(t, Node):
+            done[id(t)] = leaf(stack.pop())
+        else:
+            todo = [c for _, kids in t.groups for c in kids if id(c) not in done]
             if todo:
                 stack += todo
                 continue
             stack.pop()
-            groups = tuple(
-                (bound, tuple(hashes[id(c)] if isinstance(c, Node) else c for c in children))
-                for bound, children in t.groups
-            )
-            hashes[id(t)] = hash((t.op, t.atoms, groups, t.label))
-        return hashes[id(self)]
-
-
-TreeNode = Node  # the former name of tree nodes
+            done[id(t)] = node(t, tuple(
+                (bound, tuple([done[id(c)] for c in kids])) for bound, kids in t.groups
+            ))
+    return done[id(tree)]
 
 
 class TermGraph:
@@ -394,17 +405,9 @@ def tree_free_atoms(tree):
 
     An occurrence is free when no binder group above it binds the atom.
     """
-    out = set()
-    stack = [(tree, frozenset())]
-    while stack:
-        t, scope = stack.pop()
-        if t is CUT:
-            continue
-        out.update(a for a in t.atoms if a not in scope)
-        for bound, children in t.groups:
-            inner = scope.union(bound)
-            stack.extend((c, inner) for c in children)
-    return frozenset(out)
+    return _fold_tree(tree, lambda t, groups: frozenset(t.atoms).union(
+        *(fv.difference(bound) for bound, kids in groups for fv in kids)
+    ), lambda leaf: frozenset())
 
 
 def _check_pair(g1, s1, g2, s2):
@@ -414,32 +417,6 @@ def _check_pair(g1, s1, g2, s2):
         raise ValueError("signature mismatch")
     _require_state(g1, s1)
     _require_state(g2, s2)
-
-
-def _closure(root, expand, depth=None):
-    """Close ``{root}`` under ``expand`` breadth first: ``False`` as soon as
-    ``expand`` returns ``None`` for a configuration, else ``True``.
-
-    With a ``depth``, only levels below it are expanded: a configuration
-    at level ``L`` sits at tree depth ``L``, which a depth-``depth``
-    truncation shows exactly when ``depth > L``.
-    """
-    seen = {root}
-    frontier = [root]
-    level = 0
-    while frontier and (depth is None or level < depth):
-        next_frontier = []
-        for config in frontier:
-            children = expand(config)
-            if children is None:
-                return False
-            for child in children:
-                if child not in seen:
-                    seen.add(child)
-                    next_frontier.append(child)
-        frontier = next_frontier
-        level += 1
-    return True
 
 
 def raw_bisim(g1, s1, g2, s2):
@@ -460,10 +437,10 @@ def raw_bisim(g1, s1, g2, s2):
         for (bound_a, kids_a), (bound_b, kids_b) in zip(na.groups, nb.groups):
             if bound_a != bound_b:
                 return None
-            out.extend(zip(kids_a, kids_b))
+            out.extend((pair, pair) for pair in zip(kids_a, kids_b))
         return out
 
-    return _closure((s1, s2), expand)
+    return bfs(((s1, s2), (s1, s2)), expand)[0] is None
 
 
 def _match(na, nb, rho):
@@ -505,12 +482,14 @@ def _alpha_search(g1, s1, g2, s2):
         if groups is None:
             return None
         return [
-            (ca, cb, tuple((x, inner[x]) for x in fv1[ca] if x in inner))
+            (child, child)
             for inner, kids_a, kids_b in groups
             for ca, cb in zip(kids_a, kids_b)
+            for child in [(ca, cb, tuple((x, inner[x]) for x in fv1[ca] if x in inner))]
         ]
 
-    return (s1, s2, rho), expand
+    root = (s1, s2, rho)
+    return (root, root), expand
 
 
 def alpha_bisim(g1, s1, g2, s2):
@@ -521,7 +500,7 @@ def alpha_bisim(g1, s1, g2, s2):
     binders align.  Terminates because only finitely many renamings over
     the atoms of the two graphs can arise.
     """
-    return _closure(*_alpha_search(g1, s1, g2, s2))
+    return bfs(*_alpha_search(g1, s1, g2, s2))[0] is None
 
 
 def truncation_eq(g1, s1, g2, s2, depth):
@@ -533,7 +512,7 @@ def truncation_eq(g1, s1, g2, s2, depth):
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    return _closure(*_alpha_search(g1, s1, g2, s2), depth)
+    return bfs(*_alpha_search(g1, s1, g2, s2), depth)[0] is None
 
 
 def tree_alpha_eq(t1, t2):
@@ -568,48 +547,23 @@ def tree_alpha_eq(t1, t2):
 
 def act_graph(perm, graph):
     """Apply a finite permutation to every atom of every state."""
-    states = {
-        name: Node(
-            node.op,
-            tuple(apply(perm, a) for a in node.atoms),
-            tuple(
-                (tuple(apply(perm, b) for b in bound), children)
-                for bound, children in node.groups
-            ),
-            node.label,
-        )
-        for name, node in graph.states.items()
-    }
+    # an equation is a one-level tree whose leaves are state names
+    states = {name: act_tree(perm, node) for name, node in graph.states.items()}
     return TermGraph(graph.signature, states)
 
 
 def act_tree(perm, tree):
     """Apply a finite permutation to every atom of a finite tree.
 
-    An explicit-stack walk that maps each shared subtree once, so it
-    handles the deep and the shared trees :func:`unfold` produces.
+    Maps each shared subtree once and does not recurse, so it handles the
+    deep and the shared trees :func:`unfold` produces.
     """
-    image = {id(CUT): CUT}  # subtree id -> its image; the tree keeps ids alive
-    stack = [tree]
-    while stack:
-        t = stack.pop()
-        if id(t) in image:
-            continue
-        todo = [c for _, children in t.groups for c in children if id(c) not in image]
-        if todo:
-            stack += [t, *todo]
-            continue
-        image[id(t)] = Node(
-            t.op,
-            tuple(apply(perm, a) for a in t.atoms),
-            tuple(
-                (tuple(apply(perm, b) for b in bound),
-                 tuple(image[id(c)] for c in children))
-                for bound, children in t.groups
-            ),
-            t.label,
-        )
-    return image[id(tree)]
+    return _fold_tree(tree, lambda t, groups: Node(
+        t.op,
+        tuple(apply(perm, a) for a in t.atoms),
+        tuple((tuple(apply(perm, b) for b in bound), kids) for bound, kids in groups),
+        t.label,
+    ), lambda leaf: leaf)
 
 
 def render_tree(tree, ascii_cut=False):
@@ -758,12 +712,16 @@ def signature_from_jsonable(blob):
         if not isinstance(entry, dict):
             raise ValueError("each signature operation must be an object")
         labels = entry.get("labels")
+        if labels is not None and not (
+            isinstance(labels, list) and all(isinstance(x, str) for x in labels)
+        ):
+            raise ValueError(f"labels {labels!r} are not a list of strings")
         ops.append(
             OpSpec(
                 entry["name"],
                 entry["atoms"],
                 tuple((g["bound"], g["children"]) for g in entry["groups"]),
-                None if labels is None else frozenset(labels),
+                labels,
             )
         )
     return BindingSignature(ops)

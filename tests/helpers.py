@@ -76,28 +76,50 @@ def rebuild_apply_perm(f, value):
     return act_value(f, value)
 
 
-def debruijn(tree, env=None, depth=0):
+def debruijn(tree, table=None):
     """Locally nameless form: bound atoms become binder coordinates.
 
-    Two finite trees are alpha-equal exactly when these forms are equal,
-    which makes this an oracle independent of the injection machinery.
+    Each node's form is its operation, label, atom slots and the numbers of
+    its children's forms; ``table`` numbers the forms, and the number of the
+    root's form is returned.  Two finite trees are alpha-equal exactly when
+    their forms, numbered in one table, get the same number, which makes
+    this an oracle independent of the injection machinery.  The walk keeps
+    an explicit stack and builds one form per subtree, binder depth and
+    scope, so deep and shared unfoldings cost their size as a graph.
     """
-    if env is None:
-        env = {}
-    if tree is CUT:
-        return "cut"
-    slots = tuple(env.get(a, ("free", a)) for a in tree.atoms)
-    groups = []
-    for gi, (bound, children) in enumerate(tree.groups):
-        inner = dict(env)
-        for bi, b in enumerate(bound):
-            inner[b] = ("bound", depth, gi, bi)
-        groups.append(tuple(debruijn(c, inner, depth + 1) for c in children))
-    return (tree.op, tree.label, slots, tuple(groups))
+    table = {} if table is None else table
+    memo = {}  # (id(subtree), depth, scope) -> number of its form
+    stack = [(tree, 0, frozenset())]  # a finished subtree is popped on its next visit
+    while stack:
+        t, depth, scope = stack[-1]
+        key = (id(t), depth, scope)
+        if key in memo:
+            stack.pop()
+            continue
+        if t is CUT:
+            memo[key] = table.setdefault("cut", len(table))
+            continue
+        env = dict(scope)
+        groups = []
+        for gi, (bound, children) in enumerate(t.groups):
+            inner = dict(env)
+            for bi, b in enumerate(bound):
+                inner[b] = ("bound", depth, gi, bi)
+            inner = frozenset(inner.items())
+            groups.append([(c, depth + 1, inner) for c in children])
+        todo = [(c, d, e) for kids in groups for c, d, e in kids if (id(c), d, e) not in memo]
+        if todo:
+            stack += todo
+            continue
+        slots = tuple(env.get(a, ("free", a)) for a in t.atoms)
+        kids = tuple(tuple(memo[id(c), d, e] for c, d, e in g) for g in groups)
+        memo[key] = table.setdefault((t.op, t.label, slots, kids), len(table))
+    return memo[id(tree), 0, frozenset()]
 
 
 def tree_alpha_oracle(t1, t2):
-    return debruijn(t1) == debruijn(t2)
+    table = {}
+    return debruijn(t1, table) == debruijn(t2, table)
 
 
 def raw_tree(tree):

@@ -320,6 +320,29 @@ def _field_paths(blob, path=()):
      _replaced(LABELLED_BLOB, ("states", "r", "label"), ["x"]), "not allowed"),
     (["support", "G", "r"], _replaced(LABELLED_BLOB, ("sig", "ops", 1), ["leaf"]),
      "must be an object"),
+    # counts are ints that are not bools, labels a list of strings
+    (["support", "G", "r"], _replaced(LABELLED_BLOB, ("sig", "ops", 0, "atoms"), True),
+     "atom arity True is not a nonnegative integer"),
+    (["unfold", "G", "r", "--depth", "2"],
+     _replaced(LABELLED_BLOB, ("sig", "ops", 0, "atoms"), 1.0),
+     "atom arity 1.0 is not a nonnegative integer"),
+    (["support", "G", "r"],
+     _replaced(LABELLED_BLOB, ("sig", "ops", 0, "groups", 0, "bound"), 1.5),
+     "bound count 1.5 is not a nonnegative integer"),
+    (["support", "G", "r"],
+     _replaced(LABELLED_BLOB, ("sig", "ops", 0, "groups", 0, "bound"), True),
+     "bound count True is not a nonnegative integer"),
+    (["unfold", "G", "r", "--depth", "2"],
+     _replaced(LABELLED_BLOB, ("sig", "ops", 0, "groups", 0, "children"), "2"),
+     "child count '2' is not a positive integer"),
+    (["support", "G", "r"],
+     _replaced(LABELLED_BLOB, ("sig", "ops", 0, "groups", 0, "children"), 0),
+     "child count 0 is not a positive integer"),
+    (["support", "G", "r"], _replaced(LABELLED_BLOB, ("sig", "ops", 0, "labels"), "xy"),
+     "labels 'xy' are not a list of strings"),
+    (["unfold", "G", "r", "--depth", "2"],
+     _replaced(LABELLED_BLOB, ("sig", "ops", 0, "labels"), ["x", 1]),
+     "labels ['x', 1] are not a list of strings"),
 ])
 def test_malformed_graph_exits_2(files, capsys, args, blob, message):
     g = files("bad.json", blob)

@@ -331,6 +331,60 @@ def rewired_copy(dfa, rng):
     return NomDFA(degrees, dfa.initial, dfa.accepting, {**dfa.delta, name: rules})
 
 
+def swapped_copy(dfa, rng):
+    """The machine with two target registers of one reachable rule swapped,
+    or ``None`` when no reachable rule fills two registers: the two then
+    differ only in which register holds which atom."""
+    rules_of = {name: dfa.delta[name] for name in reachable_orbits(dfa)}
+    choices = [
+        (name, i)
+        for name, rules in rules_of.items()
+        for i, expr in enumerate(rules.equal_cases + (rules.fresh_case,))
+        if len(expr.sources) >= 2
+    ]
+    if not choices:
+        return None
+    name, i = rng.choice(choices)
+    exprs = list(rules_of[name].equal_cases + (rules_of[name].fresh_case,))
+    sources = list(exprs[i].sources)
+    a, b = rng.sample(range(len(sources)), 2)
+    sources[a], sources[b] = sources[b], sources[a]
+    exprs[i] = TargetExpr(exprs[i].orbit, tuple(sources))
+    degrees = {o.name: o.degree for o in dfa.family.orbits}
+    return NomDFA(degrees, dfa.initial, dfa.accepting,
+                  {**dfa.delta, name: OrbitRules(exprs[:-1], exprs[-1])})
+
+
+def test_equiv_agrees_with_word_enumeration_on_register_machines():
+    # Chained machines reach degree 2-3, and each is set against a renamed
+    # copy of itself with two registers swapped in one rule, so the verdict
+    # turns on where each atom sits.  Words of up to 4 letters over 4 atoms
+    # cover every word of that length up to renaming.
+    rng = random.Random(53)
+    max_len = pool = 4
+    verdicts = {True: 0, False: 0}
+    top_degree = 0
+    while sum(verdicts.values()) < 100:
+        d1 = random_dfa(rng, 4, 3, chain=True)
+        d2 = swapped_copy(d1, rng)
+        if d2 is None:
+            continue
+        d2 = renamed_copy(d2, rng)
+        top_degree = max(top_degree, *(d1.family.orbit(o).degree for o in reachable_orbits(d1)))
+        for a, b in ((d1, d2), (d2, d1)):
+            equal, word = dfa_equiv(a, b)
+            brute_equal, brute_word = dfa_brute_equiv(a, b, max_len, pool)
+            if not equal:
+                assert dfa_accepts(a, word) != dfa_accepts(b, word)
+            if brute_equal:
+                assert equal or len(word) > max_len
+            else:
+                assert not equal and len(word) == len(brute_word)
+            verdicts[brute_equal] += 1
+    assert top_degree == 3
+    assert min(verdicts.values()) > 30
+
+
 def test_equiv_matches_element_search_exactly():
     rng = random.Random(43)
     verdicts = {True: 0, False: 0}

@@ -376,6 +376,38 @@ def test_tree_walks_handle_deep_trees():
     assert render_tree(chain(1)) == "(lam 1 " * 3000 + "⊥" + ")" * 3000
 
 
+def test_tree_alpha_oracle_handles_deep_and_doubling_trees():
+    # the oracle walked path by path: s = lam<0> s recursed past Python's
+    # limit at depth 900, and s = app(s, s) took seconds at depth 18
+    chain = TermGraph(LAMBDA_SIG, {"s": Node("lam", (), (((0,), ("s",)),))})
+    renamed = act_graph(make_perm([(0, 5)]), chain)
+    assert tree_alpha_oracle(unfold(chain, "s", 900), unfold(renamed, "s", 900))
+    assert not tree_alpha_oracle(unfold(chain, "s", 900), unfold(chain, "s", 899))
+    free_var = TermGraph(LAMBDA_SIG, dict(lam_graph(0).states, u=Node("var", (1,), ())))
+    deep = unfold(lam_graph(0), "s", 900)
+    assert tree_alpha_oracle(deep, unfold(lam_graph(1), "s", 900))
+    assert not tree_alpha_oracle(deep, unfold(free_var, "s", 900))
+    doubling = TermGraph(LAMBDA_SIG, {"s": Node("app", (), (((), ("s", "s")),))})
+    start = time.perf_counter()
+    assert tree_alpha_oracle(unfold(doubling, "s", 18), unfold(doubling, "s", 18))
+    assert not tree_alpha_oracle(unfold(doubling, "s", 18), unfold(doubling, "s", 17))
+    assert time.perf_counter() - start < 1.0
+
+
+def test_tree_free_atoms_visits_shared_subtrees_once():
+    # s = app(s, b), b = app(s, u): the paths to depth 30 number in the
+    # hundreds of thousands, the shared nodes only in the dozens
+    graph = TermGraph(LAMBDA_SIG, {
+        "s": Node("app", (), (((), ("s", "b")),)),
+        "b": Node("app", (), (((), ("s", "u")),)),
+        "u": Node("var", (4,), ()),
+    })
+    tree = unfold(graph, "s", 30)
+    start = time.perf_counter()
+    assert tree_free_atoms(tree) == frozenset({4})
+    assert time.perf_counter() - start < 0.5
+
+
 def test_act_and_parse_handle_deep_trees():
     graph = TermGraph(LAMBDA_SIG, {"s": Node("lam", (), (((0,), ("s",)),))})
     chain = unfold(graph, "s", 3000)
