@@ -13,6 +13,7 @@ from .nomauto import dfa_accepts, dfa_brute_equiv, dfa_equiv, dfa_from_jsonable
 from .nomset import set_from_jsonable
 from .termgraph import (
     _fold_tree,
+    _levels,
     alpha_bisim,
     free_atoms,
     graph_from_jsonable,
@@ -111,6 +112,16 @@ def _rendered_nodes(tree):
 
 def _cmd_unfold(args):
     graph = _load_graph(args.graph)
+    # Refuse before building: the rendering has a node for each state of
+    # each level, and a level as deep as the graph has states sits on a
+    # cycle, so every level down to the depth is nonempty and the last has
+    # a cut below it.
+    built, cap = 0, MAX_UNFOLD_NODES
+    for k, level in enumerate(_levels(graph, args.state, args.depth)):
+        built += len(level)
+        if built > cap or (k >= len(graph.states) and args.depth >= cap):
+            raise CliError(f"unfolding has more than the {MAX_UNFOLD_NODES} nodes"
+                           f" that unfold prints")
     tree = unfold(graph, args.state, args.depth)
     nodes = _rendered_nodes(tree)
     if nodes > MAX_UNFOLD_NODES:

@@ -21,11 +21,10 @@ comparison on ``Element`` states that checks it.
 
 import itertools
 from dataclasses import dataclass
-from operator import itemgetter
 
 from .nomset import CoordGroup, Element, OrbitDescriptor, OrbitFiniteSet
 from .perm import fresh, is_atom
-from .search import bfs
+from .search import bfs, picker
 
 __all__ = [
     "INPUT",
@@ -186,11 +185,7 @@ def _compile(dfa):
         entries = []
         for expr in rules.equal_cases + (rules.fresh_case,):
             idx = [degree if s == INPUT else s for s in expr.sources]
-            if len(idx) > 1:
-                pick = itemgetter(*idx)
-            else:  # itemgetter of one index returns a scalar, not a tuple
-                pick = lambda regs, idx=idx: tuple([regs[i] for i in idx])
-            entries.append((expr.orbit, pick))
+            entries.append((expr.orbit, picker(idx)))
         table[name] = tuple(entries)
     return table
 

@@ -1,8 +1,11 @@
 """The one breadth-first search behind every equivalence check: term-graph
 bisimilarity, automaton equivalence and the closure of a coordinate group
 each close a root configuration under a step, keeping one configuration
-per key, so the search ends once every key has been seen.
+per key, so the search ends once every key has been seen.  Steps compiled
+ahead of the search move atoms between configurations with pickers.
 """
+
+from operator import itemgetter
 
 
 def bfs(root, expand, depth=None):
@@ -36,3 +39,12 @@ def bfs(root, expand, depth=None):
         frontier = next_frontier
         level += 1
     return None, seen
+
+
+def picker(idx):
+    """A function taking a sequence to the tuple of its items at ``idx``:
+    ``itemgetter(*idx)``, except that it returns a tuple for one index or
+    none, where ``itemgetter`` returns a scalar or cannot be built."""
+    if len(idx) > 1:
+        return itemgetter(*idx)
+    return lambda seq, idx=tuple(idx): tuple([seq[i] for i in idx])

@@ -14,16 +14,20 @@ compares denoted trees literally, while :func:`alpha_bisim` compares them
 up to renaming of bound atoms.  Both run :func:`nomfix.search.bfs` over a
 finite set of state-pair configurations, so they terminate even though the
 denoted trees are infinite; they differ only in the step that matches one
-pair of nodes.  :func:`truncation_eq` is the alpha-aware search cut off at
-a depth, so it never materialises the truncations.  Walks over finite
-trees that visit each shared subtree once are one fold, ``_fold_tree``.
+pair of nodes.  An alpha configuration carries the renaming as a tuple
+aligned with the left state's sorted free atoms, and the left graph's
+states are compiled once, on first use, into pickers that carry that tuple
+to each child by position.  :func:`truncation_eq` is the alpha-aware search
+cut off at a depth, so it never materialises the truncations.  Walks over
+finite trees that visit each shared subtree once are one fold,
+``_fold_tree``.
 """
 
 from dataclasses import dataclass
 from types import MappingProxyType
 
 from .perm import apply, is_atom
-from .search import bfs
+from .search import bfs, picker
 
 __all__ = [
     "CUT",
@@ -244,6 +248,7 @@ class TermGraph:
         self.states = MappingProxyType(store)
         self._problems = None
         self._fv = None
+        self._alpha = None
 
     def __eq__(self, other):
         if not isinstance(other, TermGraph):
@@ -339,6 +344,24 @@ def _require_state(graph, state):
         raise ValueError(f"unknown state '{state}'")
 
 
+def _levels(graph, state, depth):
+    """The states ``state`` reaches in exactly ``k`` steps, one set for each
+    ``k < depth``, lazily, up to the first empty one: the states of the
+    nodes at each level of the depth-``depth`` truncation."""
+    _require_valid(graph)
+    _require_state(graph, state)
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
+    states = graph.states
+    level = {state}
+    for k in range(depth):
+        if k:
+            level = {c for s in level for _, kids in states[s].groups for c in kids}
+            if not level:
+                return
+        yield level
+
+
 def unfold(graph, state, depth):
     """Truncate the tree denoted by ``state`` at ``depth`` node levels.
 
@@ -347,16 +370,9 @@ def unfold(graph, state, depth):
     the states reached within ``depth``, one per state and level, so all
     paths reaching a state at one level share its object: trees are immutable.
     """
-    _require_valid(graph)
-    _require_state(graph, state)
-    if depth < 0:
-        raise ValueError("depth must be nonnegative")
     states = graph.states
-    levels = [{state}] if depth else []
-    while len(levels) < depth and levels[-1]:
-        levels.append({c for s in levels[-1] for _, kids in states[s].groups for c in kids})
     below = {}  # state -> its node one level down; empty below the last level
-    for level in reversed(levels):
+    for level in reversed(list(_levels(graph, state, depth))):
         nodes = {}
         for name in level:
             node = states[name]
@@ -400,14 +416,25 @@ def free_atoms(graph, state):
     return frozenset(_fv_map(graph)[state])
 
 
+def _subtree_free_atoms(tree):
+    """Free atoms of every :class:`Node` in a finite tree, by ``id``."""
+    fv = {}
+
+    def node(t, groups):
+        fv[id(t)] = frozenset(t.atoms).union(
+            *(atoms.difference(bound) for bound, kids in groups for atoms in kids))
+        return fv[id(t)]
+
+    _fold_tree(tree, node, lambda leaf: frozenset())
+    return fv
+
+
 def tree_free_atoms(tree):
     """Atoms occurring free in a finite tree; :data:`CUT` contributes none.
 
     An occurrence is free when no binder group above it binds the atom.
     """
-    return _fold_tree(tree, lambda t, groups: frozenset(t.atoms).union(
-        *(fv.difference(bound) for bound, kids in groups for fv in kids)
-    ), lambda leaf: frozenset())
+    return _subtree_free_atoms(tree).get(id(tree), frozenset())
 
 
 def _check_pair(g1, s1, g2, s2):
@@ -462,33 +489,77 @@ def _match(na, nb, rho):
     return out
 
 
+def _alpha_table(graph):
+    """Each state's node compiled for the alpha search, built once per graph.
+
+    A state's entry is ``(op, label, atoms, groups)``: ``atoms`` picks the
+    node's atoms out of a tuple aligned with the state's sorted free atoms,
+    and each group is ``(children, picks)``, where each child's pick maps
+    that tuple plus one value per bound atom of the group onto the child's
+    free atoms.  Equal index tuples share one picker.
+    """
+    if graph._alpha is not None:
+        return graph._alpha
+    fv = _fv_map(graph)
+    by_atoms = {}  # (source atoms, wanted atoms) -> picker
+    by_index = {}  # index tuple -> picker
+
+    def pick_from(src, want):
+        key = (src, want)
+        if key not in by_atoms:
+            pos = {a: i for i, a in enumerate(src)}  # a bound atom's last position wins
+            idx = tuple([pos[a] for a in want])
+            if idx not in by_index:
+                by_index[idx] = picker(idx)
+            by_atoms[key] = by_index[idx]
+        return by_atoms[key]
+
+    table = {}
+    for name, node in graph.states.items():
+        here = fv[name]
+        groups = []
+        for bound, children in node.groups:
+            src = here + bound
+            groups.append((children, tuple([pick_from(src, fv[c]) for c in children])))
+        table[name] = (node.op, node.label, pick_from(here, node.atoms), tuple(groups))
+    graph._alpha = table
+    return table
+
+
 def _alpha_search(g1, s1, g2, s2):
     """Root configuration and ``expand`` step of the alpha-aware closure.
 
-    A configuration is ``(state1, state2, rho)``, where ``rho`` holds as
-    sorted pairs, for each atom free on the left there, the atom it must
-    equal on the right.  The root has the identity on the free atoms of
-    both sides; each child keeps only the entries its own free atoms can
-    consult, which keeps the configurations finitely many.
+    A configuration is ``(state1, state2, vals)``, where ``vals`` holds,
+    for each atom free on the left there in sorted order, the atom it must
+    equal on the right, or ``None`` once a right binder has captured that
+    atom.  The root is the identity on the free atoms of the left state;
+    each child's ``vals`` is picked from its parent's plus the right
+    group's binders, through the left graph's compiled table, so the
+    configurations are finitely many.
     """
     _check_pair(g1, s1, g2, s2)
-    states1, states2 = g1.states, g2.states
-    fv1 = _fv_map(g1)
-    rho = tuple((a, a) for a in sorted(set(fv1[s1]).union(_fv_map(g2)[s2])))
+    table, states2 = _alpha_table(g1), g2.states
 
     def expand(config):
-        sa, sb, items = config
-        groups = _match(states1[sa], states2[sb], dict(items))
-        if groups is None:
+        sa, sb, vals = config
+        op, label, atoms, groups = table[sa]
+        nb = states2[sb]
+        if op != nb.op or label != nb.label or atoms(vals) != nb.atoms:
             return None
-        return [
-            (child, child)
-            for inner, kids_a, kids_b in groups
-            for ca, cb in zip(kids_a, kids_b)
-            for child in [(ca, cb, tuple((x, inner[x]) for x in fv1[ca] if x in inner))]
-        ]
+        out = []
+        for (kids_a, picks), (bound_b, kids_b) in zip(groups, nb.groups):
+            src = vals
+            for b in bound_b:
+                if b in vals:  # a right binder captures what a left atom stood for
+                    src = tuple([None if v in bound_b else v for v in vals])
+                    break
+            src += bound_b
+            for ca, pick, cb in zip(kids_a, picks, kids_b):
+                child = (ca, cb, pick(src))
+                out.append((child, child))
+        return out
 
-    root = (s1, s2, rho)
+    root = (s1, s2, _fv_map(g1)[s1])
     return (root, root), expand
 
 
@@ -518,31 +589,36 @@ def truncation_eq(g1, s1, g2, s2, depth):
 def tree_alpha_eq(t1, t2):
     """Alpha-equivalence of two finite trees.
 
-    The node-matching step of :func:`alpha_bisim`, applied over tree nodes
-    instead of graph configurations; :data:`CUT` only matches
-    :data:`CUT`.  Useful as an executable specification for the graph
-    procedures on truncations.
+    The node-matching step of :func:`alpha_bisim`, applied over pairs of
+    subtrees instead of graph configurations; :data:`CUT` only matches
+    :data:`CUT`.  A pair is searched once per renaming of the left
+    subtree's free atoms, so shared subtrees cost their number, not their
+    paths.  Useful as an executable specification for the graph procedures
+    on truncations.
     """
-    rho = {a: a for a in tree_free_atoms(t1) | tree_free_atoms(t2)}
-    stack = [(t1, t2, rho)]
-    while stack:
-        ta, tb, rho = stack.pop()
+    fv = _subtree_free_atoms(t1)
+
+    def pair(ta, tb, rho):  # keyed by the subtrees, which outlive the search
+        kept = tuple((x, rho[x]) for x in fv.get(id(ta), ()) if x in rho)
+        return (id(ta), id(tb), kept), (ta, tb, kept)
+
+    def expand(config):
+        ta, tb, rho = config
         if ta is CUT or tb is CUT:
-            if ta is not tb:
-                return False
-            continue
+            return None if ta is not tb else []
         # hand-built trees are never validated, so arities may differ
         if len(ta.atoms) != len(tb.atoms) or len(ta.groups) != len(tb.groups):
-            return False
+            return None
         for (bound_a, kids_a), (bound_b, kids_b) in zip(ta.groups, tb.groups):
             if len(bound_a) != len(bound_b) or len(kids_a) != len(kids_b):
-                return False
-        groups = _match(ta, tb, rho)
+                return None
+        groups = _match(ta, tb, dict(rho))
         if groups is None:
-            return False
-        for inner, kids_a, kids_b in groups:
-            stack.extend((ca, cb, inner) for ca, cb in zip(kids_a, kids_b))
-    return True
+            return None
+        return [pair(ca, cb, inner) for inner, kids_a, kids_b in groups
+                for ca, cb in zip(kids_a, kids_b)]
+
+    return bfs(pair(t1, t2, {a: a for a in fv.get(id(t1), ())}), expand)[0] is None
 
 
 def act_graph(perm, graph):

@@ -25,6 +25,27 @@ def random_lambda_graph(rng, max_states=4, atom_pool=4):
     return TermGraph(LAMBDA_SIG, states), "s0"
 
 
+def mutate_one_rule(rng, graph, atom_pool=4):
+    """A copy of a lambda graph with one state's rule replaced: mostly the
+    same operation with another binder or variable atom (often one already
+    free above it) or other children, else a random operation."""
+    states = dict(graph.states)
+    names = sorted(states)
+    name = rng.choice(names)
+    node = states[name]
+    used = set(node.atoms).union(*(bound for bound, _ in node.groups))
+    atom = rng.choice([a for a in range(atom_pool) if a not in used])
+    kind = node.op if rng.random() < 0.6 else rng.choice(("lam", "app", "var"))
+    if kind == "var":
+        states[name] = Node("var", (atom,), ())
+    elif kind == "lam":
+        kids = node.groups[0][1] if node.op == "lam" else (rng.choice(names),)
+        states[name] = Node("lam", (), (((atom,), kids),))
+    else:
+        states[name] = Node("app", (), (((), (rng.choice(names), rng.choice(names))),))
+    return TermGraph(graph.signature, states)
+
+
 def unfold_oracle(graph, state, depth):
     """Truncation at ``depth`` built for every state at every level, as
     ``depth`` full passes over the graph; the graph must be valid."""
@@ -215,3 +236,50 @@ def element_dfa_equiv(d1, d2):
                 seen.add(key)
                 queue.append((f1, f2, word + (atom,)))
     return True, None
+
+
+def _match_nodes(na, nb, rho):
+    """Match two nodes up to ``rho``, the renaming of the free atoms in scope:
+    ``None`` if their operations, labels or atoms disagree, else one
+    ``(inner, kids_a, kids_b)`` per group, ``inner`` being ``rho`` less the
+    entries the group's binders capture plus the pairing of its binders."""
+    if na.op != nb.op or na.label != nb.label:
+        return None
+    for aa, ab in zip(na.atoms, nb.atoms):
+        if rho.get(aa) != ab:
+            return None
+    out = []
+    for (bound_a, kids_a), (bound_b, kids_b) in zip(na.groups, nb.groups):
+        hide_a, hide_b = set(bound_a), set(bound_b)
+        inner = {x: y for x, y in rho.items() if x not in hide_a and y not in hide_b}
+        inner.update(zip(bound_a, bound_b))
+        out.append((inner, kids_a, kids_b))
+    return out
+
+
+def match_alpha_search(g1, s1, g2, s2):
+    """Reference for the alpha search of :mod:`nomfix.termgraph`: the root
+    and ``expand`` step for :func:`nomfix.search.bfs` over configurations
+    ``(state1, state2, rho)``, ``rho`` as sorted ``(left atom, right atom)``
+    pairs rebuilt into a dict and filtered by ``_match_nodes`` at every
+    step; the graphs must be valid and share a signature.
+    """
+    states1, states2 = g1.states, g2.states
+    fv1 = {name: tuple(sorted(atoms)) for name, atoms in fv_oracle(g1).items()}
+    fv2 = fv_oracle(g2)
+    rho = tuple((a, a) for a in sorted(set(fv1[s1]).union(fv2[s2])))
+
+    def expand(config):
+        sa, sb, items = config
+        groups = _match_nodes(states1[sa], states2[sb], dict(items))
+        if groups is None:
+            return None
+        return [
+            (child, child)
+            for inner, kids_a, kids_b in groups
+            for ca, cb in zip(kids_a, kids_b)
+            for child in [(ca, cb, tuple((x, inner[x]) for x in fv1[ca] if x in inner))]
+        ]
+
+    root = (s1, s2, rho)
+    return (root, root), expand

@@ -425,6 +425,22 @@ def test_exponential_unfold_exits_2(files, capsys):
     assert capsys.readouterr().out.count("(app") == 2**18 - 1
 
 
+def test_deep_unfold_of_a_loop_is_refused_before_it_is_built(files, capsys):
+    # s = lam<0> s renders depth + 1 nodes; building them first took seconds
+    # and gigabytes, and a deeper loop exhausted memory
+    blob = {"sig": "lambda", "states": {
+        "s": {"op": "lam", "atoms": [],
+              "groups": [{"bound_atoms": [0], "children": ["s"]}]},
+    }}
+    g = files("loop.json", blob)
+    start = time.perf_counter()
+    assert main(["unfold", g, "s", "--depth", "10000000"]) == 2
+    assert time.perf_counter() - start < 2.0
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "unfolding has more than the 1000000 nodes that unfold prints\n"
+
+
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
     lambda inner: (st.lists(inner, max_size=3)

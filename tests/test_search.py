@@ -1,6 +1,6 @@
 """The breadth-first search engine behind every equivalence check."""
 
-from nomfix.search import bfs
+from nomfix.search import bfs, picker
 
 
 def _counting(expand):
@@ -67,3 +67,10 @@ def test_first_disagreement_in_fifo_order_is_returned():
     assert bad == "ab"
     assert calls == ["", "a", "b", "aa", "ab"]
     assert seen == {"", "a", "b", "aa", "ab", "ba", "bb", "aaa", "aab"}
+
+
+def test_picker_always_returns_a_tuple():
+    seq = ("a", "b", "c")
+    assert picker([])(seq) == ()
+    assert picker([2])(seq) == ("c",)
+    assert picker((2, 0, 2))(seq) == ("c", "a", "c")

@@ -13,6 +13,7 @@ import pytest
 
 from nomfix import termgraph
 from nomfix.perm import FinPerm, apply, make_perm
+from nomfix.search import bfs
 from nomfix.termgraph import (
     CUT,
     LAMBDA_SIG,
@@ -41,6 +42,8 @@ from nomfix.termgraph import (
 
 from helpers import (
     fv_oracle,
+    match_alpha_search,
+    mutate_one_rule,
     random_lambda_graph,
     raw_tree,
     tree_alpha_oracle,
@@ -363,6 +366,46 @@ def test_alpha_and_truncation_match_tree_oracle_at_six_states():
                 assert truncation_eq(g1, s1, h, t, k) == expected
 
 
+def rebinding_graph(rng, pool):
+    """A random lambda graph ``s0`` under ``r = app(v, lam<a> app(v, s0))``
+    with ``v = var a``: the binder rebinds ``a``, which is free above it,
+    and the other free atoms of ``s0`` stay free below it."""
+    g, s = random_lambda_graph(rng, 6, pool)
+    a = rng.randrange(pool)
+    return TermGraph(LAMBDA_SIG, dict(
+        g.states,
+        r=Node("app", (), (((), ("v", "l")),)),
+        v=Node("var", (a,), ()),
+        l=Node("lam", (), (((a,), ("m",)),)),
+        m=Node("app", (), (((), ("v", s)),)),
+    )), "r"
+
+
+def test_compiled_alpha_search_matches_match_search():
+    # Each graph against a copy renamed away from its free atoms and a
+    # one-rule mutant, both ways round: every verdict of alpha_bisim and of
+    # truncation_eq at depths 0-8 must be the reference search's.
+    rng = random.Random(53)
+    verdicts = set()
+    for draw in range(300):
+        pool = rng.choice((2, 3, 4))
+        g, s = random_lambda_graph(rng, 6, pool) if draw % 3 == 0 else rebinding_graph(rng, pool)
+        free = free_atoms(g, s)
+        movable = [a for a in range(pool + 2) if a not in free]
+        image = rng.sample(movable, len(movable))
+        renamed = act_graph(FinPerm(dict(zip(movable, image))), g)
+        assert alpha_bisim(g, s, renamed, s)
+        for h in (renamed, mutate_one_rule(rng, g, pool)):
+            for args in ((g, s, h, s), (h, s, g, s)):
+                want = bfs(*match_alpha_search(*args))[0] is None
+                assert alpha_bisim(*args) == want
+                verdicts.add(want)
+                for k in range(9):
+                    want = bfs(*match_alpha_search(*args), k)[0] is None
+                    assert truncation_eq(*args, k) == want
+    assert verdicts == {True, False}
+
+
 def test_tree_walks_handle_deep_trees():
     def chain(binder):  # s = lam<binder> s
         graph = TermGraph(LAMBDA_SIG, {"s": Node("lam", (), (((binder,), ("s",)),))})
@@ -392,6 +435,35 @@ def test_tree_alpha_oracle_handles_deep_and_doubling_trees():
     assert tree_alpha_oracle(unfold(doubling, "s", 18), unfold(doubling, "s", 18))
     assert not tree_alpha_oracle(unfold(doubling, "s", 18), unfold(doubling, "s", 17))
     assert time.perf_counter() - start < 1.0
+
+
+def leftmost_leaf_replaced(tree, leaf):
+    """``tree`` with the cut at the end of its leftmost path replaced by
+    ``leaf``: the path is rebuilt, every other subtree is shared."""
+    path = []
+    while tree is not CUT:
+        path.append(tree)
+        tree = tree.groups[0][1][0]
+    for node in reversed(path):
+        (bound, kids), *rest = node.groups
+        leaf = Node(node.op, node.atoms, ((bound, (leaf,) + kids[1:]), *rest), node.label)
+    return leaf
+
+
+def test_tree_alpha_eq_visits_shared_subtrees_once():
+    # s = app(s, s) unfolds to 2^depth paths but one node per level
+    graph = TermGraph(LAMBDA_SIG, {"s": Node("app", (), (((), ("s", "s")),))})
+    for depth in (18, 30):
+        tree = unfold(graph, "s", depth)
+        mutant = leftmost_leaf_replaced(tree, Node("var", (1,), ()))
+        start = time.perf_counter()
+        assert tree_alpha_eq(tree, unfold(graph, "s", depth))
+        assert tree_alpha_eq(act_tree(make_perm([(0, 1)]), tree), tree)
+        assert not tree_alpha_eq(tree, mutant)
+        assert not tree_alpha_eq(mutant, tree)
+        assert tree_alpha_eq(mutant, leftmost_leaf_replaced(tree, Node("var", (1,), ())))
+        assert not tree_alpha_eq(mutant, act_tree(make_perm([(1, 2)]), mutant))
+        assert time.perf_counter() - start < 0.5
 
 
 def test_tree_free_atoms_visits_shared_subtrees_once():
