@@ -6,11 +6,11 @@ arguments, unreadable files, malformed or invalid structures).
 """
 
 import argparse
+import gc
 import json
 import sys
 
-from .nomauto import dfa_accepts, dfa_brute_equiv, dfa_equiv, dfa_from_jsonable
-from .nomset import set_from_jsonable
+# nomauto and nomset load in the handlers that use them: graph commands never pay for them
 from .termgraph import (
     _fold_tree,
     _levels,
@@ -64,10 +64,12 @@ def _load_graph(path):
 
 
 def _load_dfa(path):
+    from .nomauto import dfa_from_jsonable
     return _load_as(path, dfa_from_jsonable, "automaton")
 
 
 def _load_set(path):
+    from .nomset import set_from_jsonable
     return _load_as(path, set_from_jsonable, "orbit-finite set")
 
 
@@ -149,12 +151,14 @@ def _cmd_orbits(args):
 
 
 def _cmd_dfa_run(args):
+    from .nomauto import dfa_accepts
     dfa = _load_dfa(args.automaton)
     word = _parse_word(args.word)
     return _verdict(dfa_accepts(dfa, word), "accept", "reject")
 
 
 def _cmd_dfa_equiv(args):
+    from .nomauto import dfa_brute_equiv, dfa_equiv
     d1, d2 = _load_dfa(args.automaton1), _load_dfa(args.automaton2)
     if args.brute is None:
         equal, word = dfa_equiv(d1, d2)
@@ -227,14 +231,17 @@ def _build_parser():
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
+    # a command's inputs hold no reference cycles: the collector would only rescan them
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.handler(args)
-    except CliError as e:
+    except (CliError, ValueError) as e:
         print(e, file=sys.stderr)
         return 2
-    except ValueError as e:
-        print(e, file=sys.stderr)
-        return 2
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -20,10 +20,10 @@ comparison on ``Element`` states that checks it.
 """
 
 import itertools
-from dataclasses import dataclass
 
 from .nomset import CoordGroup, Element, OrbitDescriptor, OrbitFiniteSet
 from .perm import fresh, is_atom
+from .record import Record, fill
 from .search import bfs, picker
 
 __all__ = [
@@ -44,31 +44,27 @@ __all__ = [
 INPUT = "input"
 
 
-@dataclass(frozen=True)
-class TargetExpr:
+class TargetExpr(Record):
     """Target orbit plus one source per target register.
 
     A source is either a register index of the source orbit or
     :data:`INPUT`.
     """
 
-    orbit: str
-    sources: tuple
+    __slots__ = ("orbit", "sources")
 
-    def __post_init__(self):
-        object.__setattr__(self, "sources", tuple(self.sources))
+    def __init__(self, orbit, sources):
+        fill(self, orbit, tuple(sources))
 
 
-@dataclass(frozen=True)
-class OrbitRules:
+class OrbitRules(Record):
     """The outgoing transitions of one orbit: an equal case per register
     and one fresh case."""
 
-    equal_cases: tuple
-    fresh_case: TargetExpr
+    __slots__ = ("equal_cases", "fresh_case")
 
-    def __post_init__(self):
-        object.__setattr__(self, "equal_cases", tuple(self.equal_cases))
+    def __init__(self, equal_cases, fresh_case):
+        fill(self, tuple(equal_cases), fresh_case)
 
 
 class NomDFA:

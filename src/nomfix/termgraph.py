@@ -9,24 +9,26 @@ infinite) tree obtained by unfolding its equation forever; :func:`unfold`
 produces the finite truncation at a given depth, with :data:`CUT` marking
 the pruned subtrees.  Equations and tree nodes are both :class:`Node`.
 
+A graph is compiled once, on first use, by one pass over its states that
+validates and numbers them; their free atoms, the least supports of their
+behaviours, are found on first need, and the operations read states by number.
 Two notions of behavioural equivalence are provided: :func:`raw_bisim`
 compares denoted trees literally, while :func:`alpha_bisim` compares them
 up to renaming of bound atoms.  Both run :func:`nomfix.search.bfs` over a
 finite set of state-pair configurations, so they terminate even though the
 denoted trees are infinite; they differ only in the step that matches one
 pair of nodes.  An alpha configuration carries the renaming as a tuple
-aligned with the left state's sorted free atoms, and the left graph's
-states are compiled once, on first use, into pickers that carry that tuple
-to each child by position.  :func:`truncation_eq` is the alpha-aware search
-cut off at a depth, so it never materialises the truncations.  Walks over
-finite trees that visit each shared subtree once are one fold,
-``_fold_tree``.
+aligned with the left state's sorted free atoms, and the first alpha search
+of a graph turns its states into pickers that carry that tuple to each
+child by position.  :func:`truncation_eq` is the alpha-aware search cut off
+at a depth, so it never materialises the truncations.  Walks over finite
+trees that visit each shared subtree once are one fold, ``_fold_tree``.
 """
 
-from dataclasses import dataclass
 from types import MappingProxyType
 
 from .perm import apply, is_atom
+from .record import Record, fill
 from .search import bfs, picker
 
 __all__ = [
@@ -73,8 +75,7 @@ class _Cut:
 CUT = _Cut()
 
 
-@dataclass(frozen=True)
-class OpSpec:
+class OpSpec(Record):
     """Shape of one operation: free atom slots plus binder groups.
 
     Each binder group is a pair ``(bound_count, child_count)``: the group
@@ -82,25 +83,20 @@ class OpSpec:
     Operations may optionally carry a label drawn from a fixed finite set.
     """
 
-    name: str
-    atom_arity: int
-    binder_groups: tuple
-    labels: frozenset | None = None
+    __slots__ = ("name", "atom_arity", "binder_groups", "labels")
 
-    def __post_init__(self):
-        if not self.name:
+    def __init__(self, name, atom_arity, binder_groups, labels=None):
+        if not name:
             raise ValueError("operation name must be nonempty")
-        if not is_atom(self.atom_arity):
-            raise ValueError(f"atom arity {self.atom_arity!r} is not a nonnegative integer")
-        groups = tuple((b, c) for b, c in self.binder_groups)
+        if not is_atom(atom_arity):
+            raise ValueError(f"atom arity {atom_arity!r} is not a nonnegative integer")
+        groups = tuple((b, c) for b, c in binder_groups)
         for bound, children in groups:
             if not is_atom(bound):
                 raise ValueError(f"bound count {bound!r} is not a nonnegative integer")
             if not is_atom(children) or children < 1:
                 raise ValueError(f"child count {children!r} is not a positive integer")
-        object.__setattr__(self, "binder_groups", groups)
-        if self.labels is not None:
-            object.__setattr__(self, "labels", frozenset(self.labels))
+        fill(self, name, atom_arity, groups, None if labels is None else frozenset(labels))
 
 
 class BindingSignature:
@@ -144,24 +140,16 @@ LAMBDA_SIG = BindingSignature([
 ])
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(Record):
     """An operation applied to atoms and groups of children, with each
     group's bound atoms in front.  In a :class:`TermGraph` the children are
     state names; in a finite tree they are trees or :data:`CUT`."""
 
-    op: str
-    atoms: tuple
-    groups: tuple
-    label: str | None = None
+    __slots__ = ("op", "atoms", "groups", "label")
 
-    def __post_init__(self):
-        object.__setattr__(self, "atoms", tuple(self.atoms))
-        object.__setattr__(
-            self,
-            "groups",
-            tuple((tuple(bound), tuple(children)) for bound, children in self.groups),
-        )
+    def __init__(self, op, atoms, groups, label=None):
+        fill(self, op, tuple(atoms),
+             tuple([(tuple(bound), tuple(children)) for bound, children in groups]), label)
 
     # Unfolded trees can be thousands of levels deep and share subtrees, so
     # equality and hashing walk an explicit stack and visit each shared
@@ -229,8 +217,8 @@ class TermGraph:
     """A finite system of equations over a binding signature.
 
     ``states`` maps state names to :class:`Node` right-hand sides.  The
-    mapping is exposed read-only because validity and free-atom
-    information are cached on the instance.
+    mapping is exposed read-only because the graph is compiled once, on
+    first use, and the result is cached on the instance.
     """
 
     def __init__(self, signature, states):
@@ -246,9 +234,8 @@ class TermGraph:
         self._states = store
         self.signature = signature
         self.states = MappingProxyType(store)
-        self._problems = None
-        self._fv = None
-        self._alpha = None
+        self._problems = None  # _compile sets it after the rest of the compiled form
+        self._fv = self._alpha = None  # built on first use
 
     def __eq__(self, other):
         if not isinstance(other, TermGraph):
@@ -257,6 +244,99 @@ class TermGraph:
 
     def __repr__(self):
         return f"TermGraph({len(self._states)} states)"
+
+
+def _compile(graph):
+    """Validate ``graph`` and, if valid, compile it, in one pass once per graph;
+    return the problems.  A valid graph numbers its states ``0 .. n-1``
+    (``_index``) and keeps per number the node and its children's numbers."""
+    if graph._problems is not None:
+        return graph._problems
+    states, ops = graph._states, graph.signature._by_name
+    index = {name: i for i, name in enumerate(states)}
+    problems, kids = [], []
+    for name, node in states.items():
+        op, label, groups = node.op, node.label, node.groups
+        spec = ops.get(op) if isinstance(op, str) else None
+        if spec is None:
+            problems.append(f"state '{name}': unknown operation '{op}'")
+            continue
+        if len(node.atoms) != spec.atom_arity:
+            problems.append(f"state '{name}': expected {spec.atom_arity} atoms,"
+                            f" got {len(node.atoms)}")
+        for a in node.atoms:
+            if not is_atom(a):
+                problems.append(f"state '{name}': atom {a!r} is not a nonnegative integer")
+        if spec.labels is None:
+            if label is not None:
+                problems.append(f"state '{name}': operation '{op}' takes no label")
+        elif not isinstance(label, str) or label not in spec.labels:
+            problems.append(f"state '{name}': label {label!r} not allowed for '{op}'")
+        shape = spec.binder_groups
+        if len(groups) != len(shape):
+            problems.append(f"state '{name}': expected {len(shape)} binder"
+                            f" groups, got {len(groups)}")
+            continue
+        row = []
+        for i, ((bound, children), (bcount, ccount)) in enumerate(zip(groups, shape)):
+            if len(bound) != bcount:
+                problems.append(f"state '{name}': group {i} binds {len(bound)} atoms,"
+                                f" expected {bcount}")
+            hashable = True  # only atoms are known to be hashable
+            for b in bound:
+                if not is_atom(b):
+                    hashable = False
+                    problems.append(f"state '{name}': bound atom {b!r} is not a"
+                                    f" nonnegative integer")
+            if hashable and len(bound) == bcount > 1 and len(set(bound)) != bcount:
+                problems.append(f"state '{name}': group {i} binds an atom twice")
+            if len(children) != ccount:
+                problems.append(f"state '{name}': group {i} has {len(children)} children,"
+                                f" expected {ccount}")
+            for c in children:
+                k = index.get(c) if isinstance(c, str) else None
+                if k is None:
+                    problems.append(f"state '{name}': unknown child state '{c}'")
+                row.append(k)
+        kids.append(tuple(row))
+    if not problems:
+        graph._index, graph._nodes, graph._kids = index, list(states.values()), kids
+    graph._problems = tuple(problems)  # last: a set marker means a finished compile
+    return graph._problems
+
+
+def _fv_table(graph):
+    """Each state's sorted free atoms, by number, found once per valid graph:
+    the least fixpoint of the equations, by a worklist over reverse edges that
+    re-queues a state only when its set grows.  A set is an int bitset with
+    one bit per distinct atom by first sight, never by value: atoms are unbounded."""
+    if graph._fv is not None:
+        return graph._fv
+    bit, fv, parents, keeps = {}, [], [[] for _ in graph._kids], {}
+    for p, (node, kids) in enumerate(zip(graph._nodes, graph._kids)):
+        own = 0
+        for a in node.atoms:
+            own |= bit.setdefault(a, 1 << len(bit))
+        fv.append(own)
+        kid = iter(kids)
+        for bound, children in node.groups:
+            keep = keeps.get(bound)  # the bits past the binders, which are distinct
+            if keep is None:
+                keep = keeps[bound] = ~sum([bit.setdefault(b, 1 << len(bit)) for b in bound])
+            for _ in children:
+                parents[next(kid)].append((p, keep))
+    work = [s for s, own in enumerate(fv) if own]  # an empty set moves nothing
+    while work:
+        child = work.pop()
+        below = fv[child]
+        for p, keep in parents[child]:
+            grown = fv[p] | (below & keep)
+            if grown != fv[p]:
+                fv[p] = grown
+                work.append(p)
+    shown = {m: tuple(sorted([a for a, b in bit.items() if m & b])) for m in set(fv)}
+    graph._fv = [shown[m] for m in fv]
+    return graph._fv
 
 
 def validate(graph):
@@ -268,95 +348,31 @@ def validate(graph):
     node fields; the other operations on graphs refuse to run until this
     list is empty.
     """
-    if graph._problems is not None:
-        return list(graph._problems)
-    problems = []
-    for name, node in graph.states.items():
-        if not isinstance(node.op, str) or node.op not in graph.signature:
-            problems.append(f"state '{name}': unknown operation '{node.op}'")
-            continue
-        spec = graph.signature.op(node.op)
-        if len(node.atoms) != spec.atom_arity:
-            problems.append(
-                f"state '{name}': expected {spec.atom_arity} atoms,"
-                f" got {len(node.atoms)}"
-            )
-        for a in node.atoms:
-            if not is_atom(a):
-                problems.append(
-                    f"state '{name}': atom {a!r} is not a nonnegative integer"
-                )
-        if spec.labels is None:
-            if node.label is not None:
-                problems.append(
-                    f"state '{name}': operation '{node.op}' takes no label"
-                )
-        elif not isinstance(node.label, str) or node.label not in spec.labels:
-            problems.append(
-                f"state '{name}': label {node.label!r} not allowed for"
-                f" '{node.op}'"
-            )
-        if len(node.groups) != len(spec.binder_groups):
-            problems.append(
-                f"state '{name}': expected {len(spec.binder_groups)} binder"
-                f" groups, got {len(node.groups)}"
-            )
-            continue
-        for i, ((bound, children), (bcount, ccount)) in enumerate(
-            zip(node.groups, spec.binder_groups)
-        ):
-            if len(bound) != bcount:
-                problems.append(
-                    f"state '{name}': group {i} binds {len(bound)} atoms,"
-                    f" expected {bcount}"
-                )
-            atoms_ok = True
-            for b in bound:
-                if not is_atom(b):
-                    atoms_ok = False
-                    problems.append(
-                        f"state '{name}': bound atom {b!r} is not a"
-                        f" nonnegative integer"
-                    )
-            # only atoms are known to be hashable
-            if atoms_ok and len(bound) == bcount and len(set(bound)) != len(bound):
-                problems.append(f"state '{name}': group {i} binds an atom twice")
-            if len(children) != ccount:
-                problems.append(
-                    f"state '{name}': group {i} has {len(children)} children,"
-                    f" expected {ccount}"
-                )
-            for c in children:
-                if not isinstance(c, str) or c not in graph.states:
-                    problems.append(f"state '{name}': unknown child state '{c}'")
-    graph._problems = tuple(problems)
-    return problems
+    return list(_compile(graph))
 
 
-def _require_valid(graph):
-    problems = validate(graph)
+def _number(graph, state):
+    """The number of ``state`` in ``graph``, which must be valid."""
+    problems = _compile(graph)
     if problems:
         raise ValueError(problems[0])
-
-
-def _require_state(graph, state):
-    if state not in graph.states:
-        raise ValueError(f"unknown state '{state}'")
+    try:
+        return graph._index[state]
+    except KeyError:
+        raise ValueError(f"unknown state '{state}'") from None
 
 
 def _levels(graph, state, depth):
-    """The states ``state`` reaches in exactly ``k`` steps, one set for each
-    ``k < depth``, lazily, up to the first empty one: the states of the
-    nodes at each level of the depth-``depth`` truncation."""
-    _require_valid(graph)
-    _require_state(graph, state)
+    """The numbers of the states ``state`` reaches in exactly ``k`` steps,
+    one set for each ``k < depth``, lazily, up to the first empty one: the
+    states of the nodes at each level of the depth-``depth`` truncation."""
+    level = {_number(graph, state)}
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    states = graph.states
-    level = {state}
+    kids = graph._kids
     for k in range(depth):
         if k:
-            level = {c for s in level for _, kids in states[s].groups for c in kids}
+            level = {c for s in level for c in kids[s]}
             if not level:
                 return
         yield level
@@ -370,50 +386,22 @@ def unfold(graph, state, depth):
     the states reached within ``depth``, one per state and level, so all
     paths reaching a state at one level share its object: trees are immutable.
     """
-    states = graph.states
-    below = {}  # state -> its node one level down; empty below the last level
+    below = {}  # state number -> its node one level down; empty below the last
     for level in reversed(list(_levels(graph, state, depth))):
-        nodes = {}
-        for name in level:
-            node = states[name]
-            groups = tuple(
-                (bound, tuple(below.get(c, CUT) for c in children))
-                for bound, children in node.groups
-            )
-            nodes[name] = Node(node.op, node.atoms, groups, node.label)
-        below = nodes
-    return below.get(state, CUT)
-
-
-def _fv_map(graph):
-    """Free atoms of every state, sorted, as the least fixpoint of the
-    equations: a worklist over reverse edges, seeded with each state's own
-    atoms, that re-queues a state only when it grows."""
-    if graph._fv is not None:
-        return graph._fv
-    fv = {name: set(node.atoms) for name, node in graph.states.items()}
-    parents = {name: [] for name in graph.states}
-    for name, node in graph.states.items():
-        for bound, children in node.groups:
-            for c in children:
-                parents[c].append((name, bound))
-    work = list(fv)
-    while work:
-        child = work.pop()
-        for parent, bound in parents[child]:
-            new = fv[child].difference(bound, fv[parent])
-            if new:
-                fv[parent] |= new
-                work.append(parent)
-    graph._fv = {name: tuple(sorted(atoms)) for name, atoms in fv.items()}
-    return graph._fv
+        nodes, kids, made = graph._nodes, graph._kids, {}
+        for s in level:
+            node, kid = nodes[s], iter(kids[s])
+            groups = tuple((bound, tuple([below.get(next(kid), CUT) for _ in children]))
+                           for bound, children in node.groups)
+            made[s] = Node(node.op, node.atoms, groups, node.label)
+        below = made
+    return below.get(graph._index[state], CUT)
 
 
 def free_atoms(graph, state):
     """Atoms occurring free in the tree denoted by ``state``."""
-    _require_valid(graph)
-    _require_state(graph, state)
-    return frozenset(_fv_map(graph)[state])
+    number = _number(graph, state)
+    return frozenset(_fv_table(graph)[number])
 
 
 def _subtree_free_atoms(tree):
@@ -438,12 +426,12 @@ def tree_free_atoms(tree):
 
 
 def _check_pair(g1, s1, g2, s2):
-    _require_valid(g1)
-    _require_valid(g2)
+    problems = _compile(g1) or _compile(g2)
+    if problems:
+        raise ValueError(problems[0])
     if g1.signature != g2.signature:
         raise ValueError("signature mismatch")
-    _require_state(g1, s1)
-    _require_state(g2, s2)
+    return _number(g1, s1), _number(g2, s2)
 
 
 def raw_bisim(g1, s1, g2, s2):
@@ -453,21 +441,20 @@ def raw_bisim(g1, s1, g2, s2):
     labels, atoms and bound atoms at every pair.  The closure has at most
     ``|states1| * |states2|`` elements, so this terminates.
     """
-    _check_pair(g1, s1, g2, s2)
-    states1, states2 = g1.states, g2.states
+    root = _check_pair(g1, s1, g2, s2)
+    nodes1, nodes2, kids1, kids2 = g1._nodes, g2._nodes, g1._kids, g2._kids
 
     def expand(pair):
-        na, nb = states1[pair[0]], states2[pair[1]]
+        a, b = pair
+        na, nb = nodes1[a], nodes2[b]
         if na.op != nb.op or na.label != nb.label or na.atoms != nb.atoms:
             return None
-        out = []
-        for (bound_a, kids_a), (bound_b, kids_b) in zip(na.groups, nb.groups):
+        for (bound_a, _), (bound_b, _) in zip(na.groups, nb.groups):
             if bound_a != bound_b:
                 return None
-            out.extend((pair, pair) for pair in zip(kids_a, kids_b))
-        return out
+        return [(pair, pair) for pair in zip(kids1[a], kids2[b])]
 
-    return bfs(((s1, s2), (s1, s2)), expand)[0] is None
+    return bfs((root, root), expand)[0] is None
 
 
 def _match(na, nb, rho):
@@ -490,17 +477,17 @@ def _match(na, nb, rho):
 
 
 def _alpha_table(graph):
-    """Each state's node compiled for the alpha search, built once per graph.
+    """Each state's node compiled for the alpha search, once per graph.
 
-    A state's entry is ``(op, label, atoms, groups)``: ``atoms`` picks the
-    node's atoms out of a tuple aligned with the state's sorted free atoms,
-    and each group is ``(children, picks)``, where each child's pick maps
-    that tuple plus one value per bound atom of the group onto the child's
-    free atoms.  Equal index tuples share one picker.
+    An entry is ``(op, label, atoms, picks)``: ``atoms`` picks the node's
+    atoms out of a tuple aligned with the state's sorted free atoms, and
+    ``picks`` holds per group, for each child, a picker mapping that tuple
+    plus one value per bound atom of the group onto the child's free atoms.
+    Equal index tuples share one picker.
     """
     if graph._alpha is not None:
         return graph._alpha
-    fv = _fv_map(graph)
+    fv = _fv_table(graph)
     by_atoms = {}  # (source atoms, wanted atoms) -> picker
     by_index = {}  # index tuple -> picker
 
@@ -509,19 +496,15 @@ def _alpha_table(graph):
         if key not in by_atoms:
             pos = {a: i for i, a in enumerate(src)}  # a bound atom's last position wins
             idx = tuple([pos[a] for a in want])
-            if idx not in by_index:
-                by_index[idx] = picker(idx)
-            by_atoms[key] = by_index[idx]
+            by_atoms[key] = by_index.setdefault(idx, picker(idx))
         return by_atoms[key]
 
-    table = {}
-    for name, node in graph.states.items():
-        here = fv[name]
-        groups = []
-        for bound, children in node.groups:
-            src = here + bound
-            groups.append((children, tuple([pick_from(src, fv[c]) for c in children])))
-        table[name] = (node.op, node.label, pick_from(here, node.atoms), tuple(groups))
+    table = []
+    for here, node, kids in zip(fv, graph._nodes, graph._kids):
+        kid = iter(kids)
+        picks = tuple([tuple([pick_from(here + bound, fv[next(kid)]) for _ in children])
+                       for bound, children in node.groups])
+        table.append((node.op, node.label, pick_from(here, node.atoms), picks))
     graph._alpha = table
     return table
 
@@ -529,37 +512,38 @@ def _alpha_table(graph):
 def _alpha_search(g1, s1, g2, s2):
     """Root configuration and ``expand`` step of the alpha-aware closure.
 
-    A configuration is ``(state1, state2, vals)``, where ``vals`` holds,
-    for each atom free on the left there in sorted order, the atom it must
-    equal on the right, or ``None`` once a right binder has captured that
-    atom.  The root is the identity on the free atoms of the left state;
-    each child's ``vals`` is picked from its parent's plus the right
-    group's binders, through the left graph's compiled table, so the
-    configurations are finitely many.
+    A configuration is ``(state1, state2, vals)``, with states by number,
+    where ``vals`` holds, for each atom free on the left there in sorted
+    order, the atom it must equal on the right, or ``None`` once a right
+    binder has captured that atom.  The root is the identity on the free
+    atoms of the left state; each child's ``vals`` is picked from its
+    parent's plus the right group's binders, through the left graph's
+    compiled table, so the configurations are finitely many.
     """
-    _check_pair(g1, s1, g2, s2)
-    table, states2 = _alpha_table(g1), g2.states
+    i1, i2 = _check_pair(g1, s1, g2, s2)
+    table, kids1, nodes2, kids2 = _alpha_table(g1), g1._kids, g2._nodes, g2._kids
 
     def expand(config):
         sa, sb, vals = config
         op, label, atoms, groups = table[sa]
-        nb = states2[sb]
+        nb = nodes2[sb]
         if op != nb.op or label != nb.label or atoms(vals) != nb.atoms:
             return None
         out = []
-        for (kids_a, picks), (bound_b, kids_b) in zip(groups, nb.groups):
+        kids_a, kids_b = iter(kids1[sa]), iter(kids2[sb])  # zip draws on them while picks last
+        for picks, (bound_b, _) in zip(groups, nb.groups):
             src = vals
             for b in bound_b:
                 if b in vals:  # a right binder captures what a left atom stood for
                     src = tuple([None if v in bound_b else v for v in vals])
                     break
             src += bound_b
-            for ca, pick, cb in zip(kids_a, picks, kids_b):
+            for pick, ca, cb in zip(picks, kids_a, kids_b):
                 child = (ca, cb, pick(src))
                 out.append((child, child))
         return out
 
-    root = (s1, s2, _fv_map(g1)[s1])
+    root = (i1, i2, _fv_table(g1)[i1])
     return (root, root), expand
 
 
@@ -792,14 +776,8 @@ def signature_from_jsonable(blob):
             isinstance(labels, list) and all(isinstance(x, str) for x in labels)
         ):
             raise ValueError(f"labels {labels!r} are not a list of strings")
-        ops.append(
-            OpSpec(
-                entry["name"],
-                entry["atoms"],
-                tuple((g["bound"], g["children"]) for g in entry["groups"]),
-                labels,
-            )
-        )
+        ops.append(OpSpec(entry["name"], entry["atoms"],
+                          tuple((g["bound"], g["children"]) for g in entry["groups"]), labels))
     return BindingSignature(ops)
 
 
@@ -836,13 +814,9 @@ def graph_from_jsonable(blob):
         raise ValueError("'states' must be an object")
     states = {}
     for name, entry in blob["states"].items():
-        states[name] = Node(
-            entry["op"],
-            tuple(entry["atoms"]),
-            tuple(
-                (tuple(g["bound_atoms"]), tuple(g["children"]))
-                for g in entry["groups"]
-            ),
-            entry.get("label"),
-        )
+        # the fields are built canonical here, so the nodes skip coercion
+        states[name] = fill(
+            object.__new__(Node), entry["op"], tuple(entry["atoms"]),
+            tuple([(tuple(g["bound_atoms"]), tuple(g["children"])) for g in entry["groups"]]),
+            entry.get("label"))
     return TermGraph(signature, states)

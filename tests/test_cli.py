@@ -1,14 +1,19 @@
 """End-to-end command line tests with frozen outputs and exit codes."""
 
 import contextlib
+import gc
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nomfix
 from nomfix.cli import main
 from nomfix.serialize import canonical_dumps
 from nomfix.termgraph import graph_from_jsonable, graph_to_jsonable
@@ -252,6 +257,57 @@ def test_invalid_graph_is_reported(files, capsys):
     g = files("bad.json", bad)
     assert main(["support", g, "s"]) == 2
     assert "expected 1 atoms" in capsys.readouterr().err
+
+
+def test_invalid_graph_reports_its_first_problem_exactly(files, capsys):
+    bad = _replaced(LAM_BLOB, ("states", "b", "groups", 0, "children"), ["u", "w"])
+    bad = _replaced(bad, ("states", "u", "atoms"), [1.5])
+    g = files("bad.json", bad)
+    assert main(["support", g, "s"]) == 2
+    assert capsys.readouterr() == ("", "state 'b': unknown child state 'w'\n")
+
+
+def test_support_prints_atoms_past_the_machine_word(files, capsys):
+    blob = {"sig": "lambda", "states": {
+        "r": {"op": "app", "atoms": [],
+              "groups": [{"bound_atoms": [], "children": ["l", "v"]}]},
+        "l": {"op": "lam", "atoms": [],
+              "groups": [{"bound_atoms": [2**70], "children": ["r"]}]},
+        "v": {"op": "var", "atoms": [10**18], "groups": []},
+        "w": {"op": "var", "atoms": [2**70], "groups": []},
+        "x": {"op": "app", "atoms": [],
+              "groups": [{"bound_atoms": [], "children": ["w", "r"]}]},
+    }}
+    g = files("big.json", blob)
+    assert main(["support", g, "x"]) == 0
+    assert capsys.readouterr().out == "[1000000000000000000, 1180591620717411303424]\n"
+    assert main(["support", g, "l"]) == 0
+    assert capsys.readouterr().out == "[1000000000000000000]\n"
+
+
+def test_graph_commands_load_no_automaton_code(files):
+    # a fresh interpreter, so that nothing imported by other tests counts
+    g = files("loop.json", LOOP_BLOB)
+    code = ("import sys; from nomfix.cli import main; main(['support', sys.argv[1], 't']); "
+            "print([m for m in ('dataclasses', 'nomfix.nomauto', 'nomfix.nomset')"
+            " if m in sys.modules])")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nomfix.__file__)))
+    proc = subprocess.run([sys.executable, "-S", "-c", code, g], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[5]\n[]\n", "")
+
+
+def test_main_leaves_the_cycle_collector_as_it_found_it(files, capsys):
+    g = files("g.json", LAM_BLOB)
+    assert gc.isenabled()
+    assert main(["support", g, "s"]) == 0 and gc.isenabled()
+    assert main(["support", g, "zz"]) == 2 and gc.isenabled()
+    gc.disable()
+    try:
+        assert main(["support", g, "s"]) == 0 and not gc.isenabled()
+    finally:
+        gc.enable()
+    capsys.readouterr()
 
 
 def test_no_arguments_is_a_usage_error():

@@ -79,10 +79,59 @@ def test_validate_reports_violations_without_aborting():
         "d": Node("nope", (), ()),
         "e": Node("app", (), ()),
     })
-    problems = validate(bad)
-    assert len(problems) == 5
-    assert any("missing" in p for p in problems)
-    assert any("nope" in p for p in problems)
+    assert validate(bad) == [
+        "state 'a': group 0 binds 2 atoms, expected 1",
+        "state 'b': unknown child state 'missing'",
+        "state 'c': expected 1 atoms, got 2",
+        "state 'd': unknown operation 'nope'",
+        "state 'e': expected 1 binder groups, got 0",
+    ]
+
+
+def test_validate_reports_every_kind_of_problem_in_order():
+    sig = BindingSignature([
+        OpSpec("node", 1, ((2, 2), (0, 1)), ["x", "y"]),
+        OpSpec("leaf", 0, ()),
+    ])
+    bad = TermGraph(sig, {
+        "r": Node("node", (3,), (((0, 0), ("r", "z")), ((), ("z",))), "x"),
+        "s": Node("node", (True, -1), (((0, "a"), ("r",)), ((), ("q", 5))), "w"),
+        "t": Node("node", ([1],), (((1, 2), ("z", "z")),), None),
+        "t2": Node("node", (0,), ((([2], 1), ("z", "z")), ((), ("z",))), "y"),
+        "u": Node("leaf", (), (), "x"),
+        "v": Node(7, (), ()),
+        "w": Node("node", (0,), (((1, 2, 3), ("z", "z")), ((4,), ())), "y"),
+        "z": Node("leaf", (), ()),
+    })
+    expected = [
+        "state 'r': group 0 binds an atom twice",
+        "state 's': expected 1 atoms, got 2",
+        "state 's': atom True is not a nonnegative integer",
+        "state 's': atom -1 is not a nonnegative integer",
+        "state 's': label 'w' not allowed for 'node'",
+        "state 's': bound atom 'a' is not a nonnegative integer",
+        "state 's': group 0 has 1 children, expected 2",
+        "state 's': group 1 has 2 children, expected 1",
+        "state 's': unknown child state 'q'",
+        "state 's': unknown child state '5'",
+        "state 't': atom [1] is not a nonnegative integer",
+        "state 't': label None not allowed for 'node'",
+        "state 't': expected 2 binder groups, got 1",
+        "state 't2': bound atom [2] is not a nonnegative integer",
+        "state 'u': operation 'leaf' takes no label",
+        "state 'v': unknown operation '7'",
+        "state 'w': group 0 binds 3 atoms, expected 2",
+        "state 'w': group 1 binds 1 atoms, expected 0",
+        "state 'w': group 1 has 0 children, expected 1",
+    ]
+    assert validate(bad) == expected
+    assert validate(bad) == expected  # the cached answer is a fresh list
+    validate(bad).clear()
+    assert validate(bad) == expected
+    for run in (lambda: free_atoms(bad, "z"), lambda: unfold(bad, "z", 1),
+                lambda: raw_bisim(bad, "z", bad, "z"), lambda: alpha_bisim(bad, "z", bad, "z")):
+        with pytest.raises(ValueError, match="^state 'r': group 0 binds an atom twice$"):
+            run()
 
 
 def test_unfold_examples():
@@ -116,10 +165,10 @@ def unfold_counting_nodes(graph, state, depth):
     built = 0
 
     class CountingNode(Node):
-        def __post_init__(self):
+        def __init__(self, *args):
             nonlocal built
             built += 1
-            super().__post_init__()
+            super().__init__(*args)
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(termgraph, "Node", CountingNode)
@@ -139,6 +188,42 @@ def test_unfold_and_free_atoms_match_full_pass_oracles():
                 assert render_tree(t) == render_tree(expected)
                 # one object per (state, remaining depth) on both sides
                 assert distinct_nodes(t) == distinct_nodes(expected)
+
+
+HOSTILE_ATOMS = (0, 3, 10**18, 10**18 + 1, 2**70, 2**70 + 5)
+
+
+def hostile_graph(rng):
+    """A random lambda graph whose atoms are drawn from :data:`HOSTILE_ATOMS`."""
+    g, s = random_lambda_graph(rng, 6, len(HOSTILE_ATOMS))
+    pi = dict(enumerate(HOSTILE_ATOMS))
+    states = {name: Node(node.op, [pi[a] for a in node.atoms],
+                         [([pi[b] for b in bound], kids) for bound, kids in node.groups])
+              for name, node in g.states.items()}
+    return TermGraph(LAMBDA_SIG, states), s
+
+
+def test_atoms_past_the_machine_word_agree_with_the_oracles():
+    # free atoms are bitsets by atom rank; an atom used as a bit position
+    # would need 2^70 bits
+    rng = random.Random(59)
+    verdicts = set()
+    for _ in range(200):
+        g, s = hostile_graph(rng)
+        h, t = hostile_graph(rng)
+        fv = fv_oracle(g)
+        assert {name: free_atoms(g, name) for name in g.states} == fv
+        for args in ((g, s, h, t), (g, s, g, s), (h, t, g, s)):
+            want = bfs(*match_alpha_search(*args))[0] is None
+            assert alpha_bisim(*args) == want
+            verdicts.add(want)
+    assert verdicts == {True, False}
+    big = TermGraph(LAMBDA_SIG, {
+        "r": Node("app", (), (((), ("l", "v")),)),
+        "l": Node("lam", (), (((2**70,), ("v",)),)),
+        "v": Node("var", (2**70,), ()),
+    })
+    assert free_atoms(big, "r") == {2**70} and free_atoms(big, "l") == frozenset()
 
 
 def test_unfold_builds_only_the_levels_the_root_reaches():
