@@ -18,14 +18,17 @@ up to renaming of bound atoms.  Both run :func:`nomfix.search.bfs` over a
 finite set of state-pair configurations, so they terminate even though the
 denoted trees are infinite; they differ only in the step that matches one
 pair of nodes.  An alpha configuration carries the renaming as a tuple
-aligned with the left state's sorted free atoms, and the first alpha search
+aligned with the left state's free atoms, and the first alpha search
 of a graph turns its states into pickers that carry that tuple to each
 child by position.  :func:`truncation_eq` is the alpha-aware search cut off
 at a depth, so it never materialises the truncations.  Walks over finite
-trees that visit each shared subtree once are one fold, ``_fold_tree``.
+trees that visit each shared subtree once are one fold, ``_fold_tree``.  A
+finite tree is a graph too, with one state per shared subtree, so
+:func:`tree_alpha_eq` and :func:`tree_free_atoms` are the alpha search and
+the free atoms of such graphs.
 """
 
-from types import MappingProxyType
+from types import MappingProxyType, SimpleNamespace
 
 from .perm import apply, is_atom
 from .record import Record, fill
@@ -73,6 +76,7 @@ class _Cut:
 
 
 CUT = _Cut()
+_CUT_MARKS = ("⊥", "_")  # CUT as render_tree prints it, and its ASCII form
 
 
 class OpSpec(Record):
@@ -86,8 +90,10 @@ class OpSpec(Record):
     __slots__ = ("name", "atom_arity", "binder_groups", "labels")
 
     def __init__(self, name, atom_arity, binder_groups, labels=None):
-        if not name:
-            raise ValueError("operation name must be nonempty")
+        # render_tree prints "(name" or "(name:label", which parse_tree must read back
+        if not _is_token(name, "():") or name in _CUT_MARKS:
+            raise ValueError(f"operation name {name!r} is not a nonempty string without"
+                             f" whitespace, '(', ')' or ':', nor a cut marker")
         if not is_atom(atom_arity):
             raise ValueError(f"atom arity {atom_arity!r} is not a nonnegative integer")
         groups = tuple((b, c) for b, c in binder_groups)
@@ -96,7 +102,19 @@ class OpSpec(Record):
                 raise ValueError(f"bound count {bound!r} is not a nonnegative integer")
             if not is_atom(children) or children < 1:
                 raise ValueError(f"child count {children!r} is not a positive integer")
-        fill(self, name, atom_arity, groups, None if labels is None else frozenset(labels))
+        labels = None if labels is None else frozenset(labels)
+        for label in labels or ():
+            if not _is_token(label, "()"):
+                raise ValueError(f"label {label!r} of '{name}' is not a nonempty string"
+                                 f" without whitespace, '(' or ')'")
+        fill(self, name, atom_arity, groups, labels)
+
+
+def _is_token(text, forbidden):
+    """Whether ``text`` is a nonempty string with no whitespace and no
+    character of ``forbidden``."""
+    return (isinstance(text, str) and text != ""
+            and not any(ch.isspace() or ch in forbidden for ch in text))
 
 
 class BindingSignature:
@@ -306,10 +324,11 @@ def _compile(graph):
 
 
 def _fv_table(graph):
-    """Each state's sorted free atoms, by number, found once per valid graph:
+    """Each state's free atoms, by number, found once per valid graph:
     the least fixpoint of the equations, by a worklist over reverse edges that
     re-queues a state only when its set grows.  A set is an int bitset with
-    one bit per distinct atom by first sight, never by value: atoms are unbounded."""
+    one bit per distinct atom by first sight, never by value: atoms are
+    unbounded; it is shown as a tuple in the same order of first sight."""
     if graph._fv is not None:
         return graph._fv
     bit, fv, parents, keeps = {}, [], [[] for _ in graph._kids], {}
@@ -320,9 +339,9 @@ def _fv_table(graph):
         fv.append(own)
         kid = iter(kids)
         for bound, children in node.groups:
-            keep = keeps.get(bound)  # the bits past the binders, which are distinct
+            keep = keeps.get(bound)  # the bits past the binders, which a tree may repeat
             if keep is None:
-                keep = keeps[bound] = ~sum([bit.setdefault(b, 1 << len(bit)) for b in bound])
+                keep = keeps[bound] = ~sum({bit.setdefault(b, 1 << len(bit)) for b in bound})
             for _ in children:
                 parents[next(kid)].append((p, keep))
     work = [s for s, own in enumerate(fv) if own]  # an empty set moves nothing
@@ -334,7 +353,7 @@ def _fv_table(graph):
             if grown != fv[p]:
                 fv[p] = grown
                 work.append(p)
-    shown = {m: tuple(sorted([a for a, b in bit.items() if m & b])) for m in set(fv)}
+    shown = {m: tuple([a for a, b in bit.items() if m & b]) for m in set(fv)}
     graph._fv = [shown[m] for m in fv]
     return graph._fv
 
@@ -404,25 +423,13 @@ def free_atoms(graph, state):
     return frozenset(_fv_table(graph)[number])
 
 
-def _subtree_free_atoms(tree):
-    """Free atoms of every :class:`Node` in a finite tree, by ``id``."""
-    fv = {}
-
-    def node(t, groups):
-        fv[id(t)] = frozenset(t.atoms).union(
-            *(atoms.difference(bound) for bound, kids in groups for atoms in kids))
-        return fv[id(t)]
-
-    _fold_tree(tree, node, lambda leaf: frozenset())
-    return fv
-
-
 def tree_free_atoms(tree):
     """Atoms occurring free in a finite tree; :data:`CUT` contributes none.
 
     An occurrence is free when no binder group above it binds the atom.
     """
-    return _subtree_free_atoms(tree).get(id(tree), frozenset())
+    graph, root = _tree_graph(tree)
+    return frozenset(_fv_table(graph)[root])
 
 
 def _check_pair(g1, s1, g2, s2):
@@ -457,30 +464,11 @@ def raw_bisim(g1, s1, g2, s2):
     return bfs((root, root), expand)[0] is None
 
 
-def _match(na, nb, rho):
-    """Match two nodes up to ``rho``, the renaming of the free atoms in scope:
-    ``None`` if their operations, labels or atoms disagree, else one
-    ``(inner, kids_a, kids_b)`` per group, ``inner`` being ``rho`` less the
-    entries the group's binders capture plus the pairing of its binders."""
-    if na.op != nb.op or na.label != nb.label:
-        return None
-    for aa, ab in zip(na.atoms, nb.atoms):
-        if rho.get(aa) != ab:
-            return None
-    out = []
-    for (bound_a, kids_a), (bound_b, kids_b) in zip(na.groups, nb.groups):
-        hide_a, hide_b = set(bound_a), set(bound_b)
-        inner = {x: y for x, y in rho.items() if x not in hide_a and y not in hide_b}
-        inner.update(zip(bound_a, bound_b))
-        out.append((inner, kids_a, kids_b))
-    return out
-
-
 def _alpha_table(graph):
     """Each state's node compiled for the alpha search, once per graph.
 
     An entry is ``(op, label, atoms, picks)``: ``atoms`` picks the node's
-    atoms out of a tuple aligned with the state's sorted free atoms, and
+    atoms out of a tuple aligned with the state's free atoms, and
     ``picks`` holds per group, for each child, a picker mapping that tuple
     plus one value per bound atom of the group onto the child's free atoms.
     Equal index tuples share one picker.
@@ -509,18 +497,18 @@ def _alpha_table(graph):
     return table
 
 
-def _alpha_search(g1, s1, g2, s2):
-    """Root configuration and ``expand`` step of the alpha-aware closure.
+def _alpha_search(g1, g2, i1, i2):
+    """Root configuration and ``expand`` step of the alpha-aware closure
+    from states ``i1`` of ``g1`` and ``i2`` of ``g2``, by number.
 
     A configuration is ``(state1, state2, vals)``, with states by number,
-    where ``vals`` holds, for each atom free on the left there in sorted
-    order, the atom it must equal on the right, or ``None`` once a right
-    binder has captured that atom.  The root is the identity on the free
-    atoms of the left state; each child's ``vals`` is picked from its
-    parent's plus the right group's binders, through the left graph's
-    compiled table, so the configurations are finitely many.
+    where ``vals`` holds, for each atom free on the left there, in the
+    order of ``_fv_table``, the atom it must equal on the right, or ``None``
+    once a right binder has captured that atom.  The root is the identity
+    on the free atoms of the left state; each child's ``vals`` is picked
+    from its parent's plus the right group's binders, through the left
+    graph's compiled table, so the configurations are finitely many.
     """
-    i1, i2 = _check_pair(g1, s1, g2, s2)
     table, kids1, nodes2, kids2 = _alpha_table(g1), g1._kids, g2._nodes, g2._kids
 
     def expand(config):
@@ -555,7 +543,7 @@ def alpha_bisim(g1, s1, g2, s2):
     binders align.  Terminates because only finitely many renamings over
     the atoms of the two graphs can arise.
     """
-    return bfs(*_alpha_search(g1, s1, g2, s2))[0] is None
+    return bfs(*_alpha_search(g1, g2, *_check_pair(g1, s1, g2, s2)))[0] is None
 
 
 def truncation_eq(g1, s1, g2, s2, depth):
@@ -567,42 +555,41 @@ def truncation_eq(g1, s1, g2, s2, depth):
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    return bfs(*_alpha_search(g1, s1, g2, s2), depth)[0] is None
+    return bfs(*_alpha_search(g1, g2, *_check_pair(g1, s1, g2, s2)), depth)[0] is None
+
+
+def _tree_graph(tree):
+    """A finite tree as a compiled graph, and the number of its root.
+
+    Each distinct subtree object is one state, so shared subtrees cost their
+    number, not their paths.  A leaf that is not a :class:`Node`, such as
+    :data:`CUT`, is a childless state whose operation is the leaf itself, so
+    it matches only an equal leaf.  Hand-built trees are never validated, so
+    a node's operation also carries its arities: nodes of different shapes
+    never match.
+    """
+    nodes, kids = [], []
+
+    def state(node, row):
+        nodes.append(node)
+        kids.append(row)
+        return len(nodes) - 1
+
+    root = _fold_tree(tree, lambda t, groups: state(
+        Node((t.op, len(t.atoms), tuple([(len(b), len(c)) for b, c in groups])),
+             t.atoms, groups, t.label),
+        tuple([c for _, children in groups for c in children]),
+    ), lambda leaf: state(Node(leaf, (), ()), ()))
+    return SimpleNamespace(_nodes=nodes, _kids=kids, _fv=None, _alpha=None), root
 
 
 def tree_alpha_eq(t1, t2):
-    """Alpha-equivalence of two finite trees.
-
-    The node-matching step of :func:`alpha_bisim`, applied over pairs of
-    subtrees instead of graph configurations; :data:`CUT` only matches
-    :data:`CUT`.  A pair is searched once per renaming of the left
-    subtree's free atoms, so shared subtrees cost their number, not their
-    paths.  Useful as an executable specification for the graph procedures
-    on truncations.
-    """
-    fv = _subtree_free_atoms(t1)
-
-    def pair(ta, tb, rho):  # keyed by the subtrees, which outlive the search
-        kept = tuple((x, rho[x]) for x in fv.get(id(ta), ()) if x in rho)
-        return (id(ta), id(tb), kept), (ta, tb, kept)
-
-    def expand(config):
-        ta, tb, rho = config
-        if ta is CUT or tb is CUT:
-            return None if ta is not tb else []
-        # hand-built trees are never validated, so arities may differ
-        if len(ta.atoms) != len(tb.atoms) or len(ta.groups) != len(tb.groups):
-            return None
-        for (bound_a, kids_a), (bound_b, kids_b) in zip(ta.groups, tb.groups):
-            if len(bound_a) != len(bound_b) or len(kids_a) != len(kids_b):
-                return None
-        groups = _match(ta, tb, dict(rho))
-        if groups is None:
-            return None
-        return [pair(ca, cb, inner) for inner, kids_a, kids_b in groups
-                for ca, cb in zip(kids_a, kids_b)]
-
-    return bfs(pair(t1, t2, {a: a for a in fv.get(id(t1), ())}), expand)[0] is None
+    """Alpha-equivalence of two finite trees: the search of
+    :func:`alpha_bisim` on the two trees as graphs, so :data:`CUT` only
+    matches :data:`CUT` and each pair of subtrees is searched once per
+    renaming of the left one's free atoms."""
+    (g1, i1), (g2, i2) = _tree_graph(t1), _tree_graph(t2)
+    return bfs(*_alpha_search(g1, g2, i1, i2))[0] is None
 
 
 def act_graph(perm, graph):
@@ -691,7 +678,7 @@ def parse_tree(signature, text):
             raise ValueError(f"trailing input at token {pos}")
         if token == "(":
             stack.append([])
-        elif token in ("⊥", "_"):
+        elif token in _CUT_MARKS:
             stack[-1].append(CUT)
         elif len(stack) == 1:
             raise ValueError(f"expected '(' or cut marker, got {token!r}")

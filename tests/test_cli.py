@@ -399,6 +399,9 @@ def _field_paths(blob, path=()):
     (["unfold", "G", "r", "--depth", "2"],
      _replaced(LABELLED_BLOB, ("sig", "ops", 0, "labels"), ["x", 1]),
      "labels ['x', 1] are not a list of strings"),
+    # render_tree prints names and labels that parse_tree must read back
+    (["unfold", "G", "r", "--depth", "2"], _replaced(LABELLED_BLOB, ("sig", "ops", 1, "name"),
+                                                     "a b"), "operation name 'a b' is not"),
 ])
 def test_malformed_graph_exits_2(files, capsys, args, blob, message):
     g = files("bad.json", blob)

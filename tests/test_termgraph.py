@@ -13,6 +13,7 @@ import pytest
 
 from nomfix import termgraph
 from nomfix.perm import FinPerm, apply, make_perm
+from nomfix.record import fill
 from nomfix.search import bfs
 from nomfix.termgraph import (
     CUT,
@@ -608,6 +609,50 @@ def test_tree_alpha_eq_rejects_mismatched_arities():
                              Node("lam", (), (((0,), (CUT, CUT)),)))
     assert not tree_alpha_eq(Node("lam", (), (((0,), (CUT,)),)), Node("lam", (), ()))
 
+    def lam(body):
+        return Node("lam", (), (((0,), (body,)),))
+
+    def lit(label):
+        return Node("lit", (), (), label)
+
+    var0 = Node("var", (0,), ())
+    # below a matching root too, and at the leaves: CUT and labelled nodes
+    for t1, t2, expected in [
+        (CUT, CUT, True),
+        (CUT, var0, False),
+        (var0, CUT, False),
+        (lam(var0), lam(Node("var", (0, 0), ())), False),
+        (lam(Node("lam", (), ())), lam(lam(CUT)), False),
+        (lam(Node("app", (), (((), (CUT,)),))), lam(Node("app", (), (((), (CUT, CUT)),))),
+         False),
+        (lam(lam(CUT)), lam(Node("lam", (), (((0, 1), (CUT,)),))), False),
+        (lit("x"), lit("y"), False),
+        (lit("x"), lit("x"), True),
+        (lam(lit("x")), lam(lit("y")), False),
+        (lam(var0), lam(Node("var", (1,), ())), False),
+        # a group that binds an atom twice: the last binder wins
+        (Node("lam", (), (((0, 0), (var0,)),)), Node("lam", (), (((1, 0), (var0,)),)), True),
+        (Node("lam", (), (((0, 0), (var0,)),)), Node("lam", (), (((0, 1), (var0,)),)), False),
+    ]:
+        assert tree_alpha_eq(t1, t2) == expected, (t1, t2)
+    assert tree_free_atoms(Node("lam", (), (((0, 0), (var0,)),))) == frozenset()
+
+
+def test_tree_alpha_eq_is_equivariant():
+    # t and pi.t are alpha-equivalent exactly when pi fixes the free atoms of t
+    rng = random.Random(5)
+    verdicts = []
+    for draw in range(300):
+        pool = rng.choice((2, 3, 4))
+        g, s = random_lambda_graph(rng, 6, pool) if draw % 2 else rebinding_graph(rng, pool)
+        t = unfold(g, s, rng.randint(1, 7))
+        a, b = rng.sample(range(pool + 1), 2)
+        moved = act_tree(make_perm([(a, b)]), t)
+        verdict = tree_alpha_eq(t, moved)
+        assert verdict == (not {a, b} & tree_free_atoms(t)) == tree_alpha_oracle(t, moved)
+        verdicts.append(verdict)
+    assert set(verdicts) == {True, False}
+
 
 def test_truncation_is_monotone_and_stabilizes_to_alpha_bisim():
     rng = random.Random(19)
@@ -665,6 +710,32 @@ def test_labeled_ops_must_match():
     assert alpha_bisim(gx, "s", gx, "s")
     bad = TermGraph(sig, {"s": Node("lit", (), (), label="z")})
     assert validate(bad) != []
+
+
+def test_op_spec_accepts_exactly_what_renders_and_parses_back():
+    def round_trips(name, label):  # on a spec built past the constructor's checks
+        spec = fill(object.__new__(OpSpec), name, 0, ((0, 1),),
+                    None if label is None else frozenset([label]))
+        tree = Node(name, (), (((), (CUT,)),), label)
+        try:
+            return parse_tree(BindingSignature([spec]), render_tree(tree)) == tree
+        except (TypeError, ValueError):  # render_tree takes only str names
+            return False
+
+    cases = [(name, None) for name in (
+        "a:b", "a b", "_", "⊥", 5, True, "", "a(", "x)", "a\tb",  # rejected
+        "lam", "a-b", "x_y", "⊥x", "5", "é")]
+    cases += [("k", label) for label in (
+        "x y", "x)", "", "(", 5,  # rejected
+        "x", "x:y", "_", "⊥", "7")]
+    for name, label in cases:
+        try:
+            OpSpec(name, 0, ((0, 1),), None if label is None else [label])
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert accepted == round_trips(name, label), (name, label)
+    assert sum(round_trips(*case) for case in cases) == 11
 
 
 def test_signature_json_roundtrip():
