@@ -9,19 +9,25 @@ lets one sample point represent the whole cofinite part.
 The constructor canonicalizes: keys become exactly the minimal support in
 ascending order, the default atom the least atom outside it.  Structural
 equality of canonical quadruples is extensional equality.  The constructor
-is the only place that searches for a support: the permutation action uses
-equivariance, supp(pi.f) = pi.supp(f), to read the image's canonical form
-off the stored one in a single walk.
+is the only place that searches for a support, with at most one swap per
+candidate atom: u is in the support when it is in the (minimal) support of
+some image f(b) with b other than u, or, for a key u, when swapping u with a
+fresh atom moves f(u).  The permutation action uses equivariance,
+supp(pi.f) = pi.supp(f), to read the image's canonical form off the stored
+one in a single walk.
 
 Functions of several distinct atoms (curried, uniformly nested quadruples)
 support the gap-filling section construction: fill extends an arbitrary
 tuple to a distinct one using spare atoms, giving every function on distinct
-tuples a total extension that restricts back to it.
+tuples a total extension that restricts back to it.  Section and equality
+read such a function through a memo of its partial applications, so each
+prefix of the argument tuples is applied once.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from typing import Iterable, Mapping, Sequence
 
 from .nomset import is_strong, min_support
@@ -52,25 +58,49 @@ class FsFun:
         if len(keys) != len(values):
             raise ValueError("keys and values must have equal length")
 
-        cands = frozenset({a}) | frozenset(keys) | support_value(default_value)
-        for v in values:
-            cands |= support_value(v)
+        d = default_value
+        sd = support_value(d)
+        table = {}  # each key's image, at its first occurrence, and its support
+        for k, v in zip(keys, values):
+            if k not in table:
+                table[k] = (v, support_value(v))
+        cands = {a, *sd, *table}
+        for _, s in table.values():
+            cands |= s
         z1 = fresh(cands)
         z2 = fresh(cands | {z1})
-        # Each swap (u z1) below maps the probes onto themselves, and every
-        # atom under z1 is in cands, so fresh(supp) is a probe too: the raw
-        # quadruple is evaluated once per probe.
-        raw = {b: _raw_apply(a, default_value, keys, values, b)
-               for b in sorted(cands) + [z1, z2]}
-        supp = []
-        for u in sorted(cands):
-            swap = make_perm([(u, z1)])
-            if any(act_value(swap, raw[swap(b)]) != x for b, x in raw.items()):
-                supp.append(u)
+
+        # u is in the support iff (u z1).f((u z1)(b)) != f(b) at some probe b
+        # in cands | {z1, z2}.  For b outside {u, z1} the swap fixes b and z1
+        # is fresh for f(b), whose support lies in cands | {z2}; as
+        # support_value gives minimal supports, the test there holds iff u is
+        # in supp(f(b)), which off the table is (a b).supp(d) by equivariance.
+        # The probes u and z1 make one test, up to the swap.  Off the table it
+        # compares f(u) = (a u).d with (u z1).f(z1) = (a u).(u z1).d, which
+        # differ only when u is in supp(d) - {a}, hence in supp(f(z2)); so
+        # only a key needs the swap applied.  count[u] is the number of probes
+        # b other than z1 with u in supp(f(b)).
+        def image_support(b):
+            if b in table:
+                return table[b][1]
+            if a in sd or b in sd:
+                return frozenset(b if x == a else a if x == b else x for x in sd)
+            return sd
+
+        images = {b: image_support(b) for b in cands | {z2}}
+        count = Counter(x for s in images.values() for x in s)
+        at_z1 = _raw_apply(a, d, keys, values, z1)
+
+        def at(b):
+            return at_z1 if b == z1 else _raw_apply(a, d, keys, values, b)
+
+        supp = [u for u in sorted(cands)
+                if count[u] > (u in images[u])
+                or u in table and act_value(make_perm([(u, z1)]), at_z1) != table[u][0]]
         self.keys = tuple(supp)
-        self.values = tuple(raw[k] for k in supp)
+        self.values = tuple(map(at, supp))
         self.default_atom = fresh(supp)
-        self.default_value = raw[self.default_atom]
+        self.default_value = at(self.default_atom)
 
     def apply_perm(self, f: FinPerm) -> "FsFun":
         # By equivariance the image is supported by f(keys) and maps f(k) to
@@ -235,6 +265,20 @@ def distinct_apply(f: DistinctFsFun, atoms: Sequence[int]):
     return out
 
 
+def _reader(f: DistinctFsFun):
+    """``distinct_apply(f, v)`` for distinct tuples ``v`` of the right length,
+    memoising every prefix, so that each partial application is made once."""
+    memo = {(): f.inner}
+
+    def read(v: tuple[int, ...]):
+        out = memo.get(v)
+        if out is None:
+            out = memo[v] = fs_apply(read(v[:-1]), v[-1])
+        return out
+
+    return read
+
+
 def distinct_fs_eq(f: DistinctFsFun, g: DistinctFsFun) -> bool:
     """Equality of restrictions: compare on joint-support tuples plus spares."""
     if f.arity != g.arity:
@@ -242,8 +286,8 @@ def distinct_fs_eq(f: DistinctFsFun, g: DistinctFsFun) -> bool:
     probe = sorted(f.inner.support() | g.inner.support())
     for _ in range(f.arity):
         probe.append(fresh(probe))
-    return all(distinct_apply(f, v) == distinct_apply(g, v)
-               for v in itertools.permutations(probe, f.arity))
+    read_f, read_g = _reader(f), _reader(g)
+    return all(read_f(v) == read_g(v) for v in itertools.permutations(probe, f.arity))
 
 
 def section(f: DistinctFsFun, w: Sequence[int]) -> FsFun:
@@ -258,10 +302,11 @@ def section(f: DistinctFsFun, w: Sequence[int]) -> FsFun:
     if len(w) != 2 * n or len(set(w)) != len(w):
         raise ValueError("fill requires 2n distinct atoms")
     base = sorted(f.inner.support() | set(w))
+    read = _reader(f)
 
     def build(prefix: tuple[int, ...]) -> object:
         if len(prefix) == n:
-            return distinct_apply(f, fill(prefix, w))
+            return read(fill(prefix, w))
         probe = sorted(set(base) | set(prefix))
         a = fresh(probe)
         table = {t: build(prefix + (t,)) for t in probe}

@@ -634,7 +634,15 @@ def render_tree(tree, ascii_cut=False):
         elif t is CUT:
             out.append(cut)
         else:
-            head = t.op if t.label is None else f"{t.op}:{t.label}"
+            op, label = t.op, t.label
+            if not isinstance(op, str):
+                raise ValueError(f"operation {op!r} is not a string")
+            if label is None:
+                head = op
+            elif isinstance(label, str):
+                head = f"{op}:{label}"
+            else:
+                raise ValueError(f"label {label!r} of '{op}' is not a string")
             items = ["(" + head, *(f" {a}" for a in t.atoms)]
             for bound, children in t.groups:
                 items.extend(f" {b}" for b in bound)

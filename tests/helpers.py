@@ -3,9 +3,10 @@
 import itertools
 
 from nomfix.abstraction import Abstraction
-from nomfix.fsfunc import DistinctFsFun, FsFun
+from nomfix.fsfunc import DistinctFsFun, FsFun, distinct_apply, fill, fs_from_table
+from nomfix.perm import fresh, make_perm
 from nomfix.termgraph import CUT, LAMBDA_SIG, Node, TermGraph
-from nomfix.values import act_value
+from nomfix.values import act_value, support_value
 
 
 def random_lambda_graph(rng, max_states=4, atom_pool=4):
@@ -95,6 +96,67 @@ def rebuild_apply_perm(f, value):
     if isinstance(value, DistinctFsFun):
         return DistinctFsFun(value.arity, rebuild_apply_perm(f, value.inner))
     return act_value(f, value)
+
+
+def swap_test_fsfun(default_atom, default_value, keys, values):
+    """Reference for the ``FsFun`` constructor: the canonical
+    ``(keys, values, default_atom, default_value)`` of a raw quadruple, found
+    by one swap test per candidate and probe.  The candidates are the atoms
+    of the quadruple; ``u`` is in the support when swapping it with the fresh
+    ``z1`` changes the value at some probe, and the probes are the candidates
+    plus ``z1`` and ``z2``."""
+    a, d = default_atom, default_value
+    keys, values = tuple(keys), tuple(values)
+
+    def at(b):
+        for k, x in zip(keys, values):
+            if k == b:
+                return x
+        return d if a == b else act_value(make_perm([(a, b)]), d)
+
+    cands = frozenset({a}) | frozenset(keys) | support_value(d)
+    for v in values:
+        cands |= support_value(v)
+    z1 = fresh(cands)
+    z2 = fresh(cands | {z1})
+    raw = {b: at(b) for b in sorted(cands) + [z1, z2]}
+    supp = []
+    for u in sorted(cands):
+        swap = make_perm([(u, z1)])
+        if any(act_value(swap, raw[swap(b)]) != x for b, x in raw.items()):
+            supp.append(u)
+    atom = fresh(supp)
+    return tuple(supp), tuple(raw[k] for k in supp), atom, at(atom)
+
+
+def probe_distinct_fs_eq(f, g):
+    """Reference for ``distinct_fs_eq``: every read of both functions on the
+    distinct tuples of the joint support plus spares, each through
+    ``distinct_apply`` from the outermost quadruple."""
+    if f.arity != g.arity:
+        return False
+    probe = sorted(f.inner.support() | g.inner.support())
+    for _ in range(f.arity):
+        probe.append(fresh(probe))
+    return all(distinct_apply(f, v) == distinct_apply(g, v)
+               for v in itertools.permutations(probe, f.arity))
+
+
+def probe_section(f, w):
+    """Reference for ``section``: every leaf read through ``distinct_apply``
+    at the ``fill`` of its prefix."""
+    n = f.arity
+    base = sorted(f.inner.support() | set(w))
+
+    def build(prefix):
+        if len(prefix) == n:
+            return distinct_apply(f, fill(prefix, w))
+        probe = sorted(set(base) | set(prefix))
+        a = fresh(probe)
+        table = {t: build(prefix + (t,)) for t in probe}
+        return fs_from_table(table, (a, build(prefix + (a,))))
+
+    return build(())
 
 
 def debruijn(tree, table=None):
@@ -210,7 +272,6 @@ def element_dfa_equiv(d1, d2):
     from collections import deque
 
     from nomfix.nomauto import dfa_initial, dfa_step
-    from nomfix.perm import fresh
 
     def pattern(e1, e2):
         rank = {}

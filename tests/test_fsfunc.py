@@ -11,6 +11,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nomfix.fsfunc import (
     DistinctFsFun,
@@ -32,7 +34,7 @@ from nomfix.abstraction import Abstraction
 from nomfix.nomset import CoordGroup, Element, OrbitDescriptor, OrbitFiniteSet, min_support
 from nomfix.perm import FinPerm, apply_set, fresh, invert, make_perm
 from nomfix.values import act_value, support_value, value_eq
-from helpers import rebuild_apply_perm
+from helpers import probe_distinct_fs_eq, probe_section, rebuild_apply_perm, swap_test_fsfun
 from test_nomset import brute_min_support
 
 
@@ -380,3 +382,82 @@ def test_action_matches_constructor_rebuild():
             if isinstance(out, Abstraction):
                 assert repr(Abstraction(out.binder, out.body)) == repr(out)
             assert support_value(out) == apply_set(pi, support)
+
+
+ATOMS = st.integers(0, 4)
+ORBITS = OrbitFiniteSet([OrbitDescriptor("pr", 2, CoordGroup(2)),
+                         OrbitDescriptor("up", 2, CoordGroup(2, [(1, 0)]))])
+
+
+def raw_quadruples(values):
+    """Raw constructor arguments: any default atom, and keys that may repeat
+    and may include it."""
+    return st.tuples(ATOMS, values, st.lists(st.tuples(ATOMS, values), max_size=3)).map(
+        lambda q: (q[0], q[1], tuple(k for k, _ in q[2]), tuple(v for _, v in q[2])))
+
+
+def nested_functions(arity):
+    leaves = ATOMS if arity == 1 else nested_functions(arity - 1)
+    return raw_quadruples(leaves).map(lambda q: FsFun(*q))
+
+
+def value_trees(leaves):
+    return st.one_of(
+        st.lists(leaves, max_size=3).map(tuple),
+        st.builds(Abstraction, ATOMS, leaves),
+        raw_quadruples(leaves).map(lambda q: FsFun(*q)),
+    )
+
+
+VALUES = st.recursive(st.one_of(
+    ATOMS,
+    st.builds(lambda orbit, regs: Element(ORBITS, orbit, regs),
+              st.sampled_from(["pr", "up"]), st.lists(ATOMS, min_size=2, max_size=2, unique=True)),
+    st.builds(DistinctFsFun, st.just(1), nested_functions(1)),
+    st.builds(DistinctFsFun, st.just(2), nested_functions(2)),
+), value_trees, max_leaves=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw_quadruples(st.one_of(ATOMS, VALUES)))
+@example((0, 1, (0,), (0,)))  # only f(z2) = 1 has 1 in its support; f(1) = 0
+def test_constructor_matches_swap_test_oracle(quadruple):
+    f = FsFun(*quadruple)
+    # repr is structural, where DistinctFsFun's == is extensional
+    assert repr((f.keys, f.values, f.default_atom, f.default_value)) == \
+        repr(swap_test_fsfun(*quadruple))
+
+
+def rand_nested(rng, depth, pool=3):
+    if depth == 0:
+        return rng.randrange(pool)
+    table = {k: rand_nested(rng, depth - 1, pool) for k in rng.sample(range(pool), rng.randrange(3))}
+    return fs_from_table(table, (fresh(set(table) | {pool}), rand_nested(rng, depth - 1, pool)))
+
+
+def mutate_one_entry(rng, h, depth, pool=3):
+    """``h`` with one stored image, at some nesting level, drawn afresh."""
+    i = rng.randrange(len(h.keys) + 1)
+    old = h.values[i] if i < len(h.keys) else h.default_value
+    new = (mutate_one_entry(rng, old, depth - 1, pool) if depth > 1 and rng.random() < 0.5
+           else rand_nested(rng, depth - 1, pool))
+    if i == len(h.keys):
+        return FsFun(h.default_atom, new, h.keys, h.values)
+    return FsFun(h.default_atom, h.default_value, h.keys, h.values[:i] + (new,) + h.values[i + 1:])
+
+
+@pytest.mark.parametrize("arity,draws", [(1, 150), (2, 60), (3, 8)])
+def test_distinct_reads_match_probe_loop(arity, draws):
+    rng = random.Random(61 + arity)
+    verdicts = set()
+    for _ in range(draws):
+        f = restrict_distinct(rand_nested(rng, arity))
+        w = tuple(rng.sample(range(2 * arity + 4), 2 * arity))
+        g = section(f, w)
+        assert g == probe_section(f, w)
+        for other in (g, mutate_one_entry(rng, f.inner, arity)):
+            h = restrict_distinct(other)
+            verdict = distinct_fs_eq(f, h)
+            assert verdict == probe_distinct_fs_eq(f, h) == distinct_fs_eq(h, f)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
