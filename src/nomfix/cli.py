@@ -3,24 +3,16 @@
 Verdict-style commands follow the usual convention: exit status 0 for a
 positive answer, 1 for a negative one, and 2 for unusable inputs (bad
 arguments, unreadable files, malformed or invalid structures).
+
+Each subcommand is declared once, in ``COMMANDS``, and the parser is built
+from that table.  This module imports no other part of nomfix: each handler
+imports the modules it runs, so a command never loads the code of another.
 """
 
 import argparse
 import gc
 import json
 import sys
-
-# nomauto and nomset load in the handlers that use them: graph commands never pay for them
-from .termgraph import (
-    _fold_tree,
-    _levels,
-    alpha_bisim,
-    free_atoms,
-    graph_from_jsonable,
-    raw_bisim,
-    render_tree,
-    unfold,
-)
 
 
 # Largest unfolding `unfold` prints, in nodes of the rendered tree (each
@@ -60,17 +52,8 @@ def _load_as(path, reader, what):
 
 
 def _load_graph(path):
+    from .termgraph import graph_from_jsonable
     return _load_as(path, graph_from_jsonable, "term graph")
-
-
-def _load_dfa(path):
-    from .nomauto import dfa_from_jsonable
-    return _load_as(path, dfa_from_jsonable, "automaton")
-
-
-def _load_set(path):
-    from .nomset import set_from_jsonable
-    return _load_as(path, set_from_jsonable, "orbit-finite set")
 
 
 def _parse_word(text):
@@ -93,54 +76,45 @@ def _verdict(answer, yes, no):
     return 1
 
 
-def _cmd_alpha_eq(args):
+def _cmd_eq(args):
+    from .termgraph import alpha_bisim, raw_bisim
+    kind = args.command.removesuffix("-eq")
+    bisim = alpha_bisim if kind == "alpha" else raw_bisim
     g1, g2 = _load_graph(args.graph1), _load_graph(args.graph2)
-    answer = alpha_bisim(g1, args.state1, g2, args.state2)
-    return _verdict(answer, "alpha-equivalent", "not alpha-equivalent")
-
-
-def _cmd_raw_eq(args):
-    g1, g2 = _load_graph(args.graph1), _load_graph(args.graph2)
-    answer = raw_bisim(g1, args.state1, g2, args.state2)
-    return _verdict(answer, "raw-equivalent", "not raw-equivalent")
-
-
-def _rendered_nodes(tree):
-    """Node count of the rendering of ``tree``: one memoised pass over its
-    shared subtrees, so it costs their number, not the rendering's size."""
-    return _fold_tree(tree, lambda t, groups: 1 + sum(sum(kids) for _, kids in groups),
-                      lambda leaf: 1)
+    answer = bisim(g1, args.state1, g2, args.state2)
+    return _verdict(answer, f"{kind}-equivalent", f"not {kind}-equivalent")
 
 
 def _cmd_unfold(args):
-    graph = _load_graph(args.graph)
-    # Refuse before building: the rendering has a node for each state of
-    # each level, and a level as deep as the graph has states sits on a
-    # cycle, so every level down to the depth is nonempty and the last has
-    # a cut below it.
-    built, cap = 0, MAX_UNFOLD_NODES
-    for k, level in enumerate(_levels(graph, args.state, args.depth)):
-        built += len(level)
-        if built > cap or (k >= len(graph.states) and args.depth >= cap):
-            raise CliError(f"unfolding has more than the {MAX_UNFOLD_NODES} nodes"
-                           f" that unfold prints")
-    tree = unfold(graph, args.state, args.depth)
-    nodes = _rendered_nodes(tree)
-    if nodes > MAX_UNFOLD_NODES:
-        raise CliError(f"unfolding has {nodes} nodes, more than the "
-                       f"{MAX_UNFOLD_NODES} that unfold prints")
-    print(render_tree(tree, ascii_cut=args.ascii))
+    from .termgraph import _levels, render_tree, unfold
+    graph, depth, cap = _load_graph(args.graph), args.depth, MAX_UNFOLD_NODES
+    # Size the rendering before building it: a node for each root path to
+    # each state of a level above the depth, and a cut for each path to a
+    # state of the level at it.  A level as deep as the graph has states
+    # sits on a cycle, so every level down to the depth is nonempty.
+    states = nodes = 0
+    for k, level in enumerate(_levels(graph, args.state, depth + 1)):
+        nodes += sum(level.values())
+        if k < depth:
+            states += len(level)
+            if states > cap or (k >= len(graph.states) and depth >= cap):
+                raise CliError(f"unfolding has more than the {cap} nodes that unfold prints")
+    if nodes > cap:
+        raise CliError(f"unfolding has {nodes} nodes, more than the {cap} that unfold prints")
+    print(render_tree(unfold(graph, args.state, depth), ascii_cut=args.ascii))
     return 0
 
 
 def _cmd_support(args):
+    from .termgraph import free_atoms
     graph = _load_graph(args.graph)
     print(json.dumps(sorted(free_atoms(graph, args.state))))
     return 0
 
 
 def _cmd_orbits(args):
-    family = _load_set(args.setfile)
+    from .nomset import set_from_jsonable
+    family = _load_as(args.setfile, set_from_jsonable, "orbit-finite set")
     for orbit in family.orbits:
         strong = "yes" if orbit.symmetry.order == 1 else "no"
         print(
@@ -151,15 +125,16 @@ def _cmd_orbits(args):
 
 
 def _cmd_dfa_run(args):
-    from .nomauto import dfa_accepts
-    dfa = _load_dfa(args.automaton)
+    from .nomauto import dfa_accepts, dfa_from_jsonable
+    dfa = _load_as(args.automaton, dfa_from_jsonable, "automaton")
     word = _parse_word(args.word)
     return _verdict(dfa_accepts(dfa, word), "accept", "reject")
 
 
 def _cmd_dfa_equiv(args):
-    from .nomauto import dfa_brute_equiv, dfa_equiv
-    d1, d2 = _load_dfa(args.automaton1), _load_dfa(args.automaton2)
+    from .nomauto import dfa_brute_equiv, dfa_equiv, dfa_from_jsonable
+    d1, d2 = (_load_as(path, dfa_from_jsonable, "automaton")
+              for path in (args.automaton1, args.automaton2))
     if args.brute is None:
         equal, word = dfa_equiv(d1, d2)
     else:
@@ -174,58 +149,41 @@ def _cmd_dfa_equiv(args):
     return 1
 
 
+_TWO_STATES = ("graph1", "state1", "graph2", "state2")
+
+#: Each subcommand: its help line, its handler, and its arguments in order,
+#: each a positional name or a ``(flag or name, add_argument options)`` pair.
+COMMANDS = {
+    "alpha-eq": ("compare two graph states up to bound renaming", _cmd_eq, *_TWO_STATES),
+    "raw-eq": ("compare two graph states literally", _cmd_eq, *_TWO_STATES),
+    "unfold": ("print a depth-bounded unfolding", _cmd_unfold, "graph", "state",
+               ("--depth", dict(type=int, required=True,
+                                help="number of node levels to show")),
+               ("--ascii", dict(action="store_true",
+                                help="print pruned subtrees as _ instead of ⊥"))),
+    "support": ("print the free atoms of a state", _cmd_support, "graph", "state"),
+    "orbits": ("describe an orbit-finite set", _cmd_orbits, "setfile"),
+    "dfa-run": ("run an automaton on a word", _cmd_dfa_run, "automaton",
+                ("word", dict(help="comma-separated atoms, empty for the empty word"))),
+    "dfa-equiv": ("compare the languages of two automata", _cmd_dfa_equiv,
+                  "automaton1", "automaton2",
+                  ("--brute", dict(nargs=2, type=int, metavar=("MAXLEN", "POOL"),
+                                   help="enumerate words instead of the symbolic search"))),
+}
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="nomfix",
         description="Work with binding term graphs and automata over atoms.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("alpha-eq",
-                       help="compare two graph states up to bound renaming")
-    p.add_argument("graph1")
-    p.add_argument("state1")
-    p.add_argument("graph2")
-    p.add_argument("state2")
-    p.set_defaults(handler=_cmd_alpha_eq)
-
-    p = sub.add_parser("raw-eq", help="compare two graph states literally")
-    p.add_argument("graph1")
-    p.add_argument("state1")
-    p.add_argument("graph2")
-    p.add_argument("state2")
-    p.set_defaults(handler=_cmd_raw_eq)
-
-    p = sub.add_parser("unfold", help="print a depth-bounded unfolding")
-    p.add_argument("graph")
-    p.add_argument("state")
-    p.add_argument("--depth", type=int, required=True,
-                   help="number of node levels to show")
-    p.add_argument("--ascii", action="store_true",
-                   help="print pruned subtrees as _ instead of ⊥")
-    p.set_defaults(handler=_cmd_unfold)
-
-    p = sub.add_parser("support", help="print the free atoms of a state")
-    p.add_argument("graph")
-    p.add_argument("state")
-    p.set_defaults(handler=_cmd_support)
-
-    p = sub.add_parser("orbits", help="describe an orbit-finite set")
-    p.add_argument("setfile")
-    p.set_defaults(handler=_cmd_orbits)
-
-    p = sub.add_parser("dfa-run", help="run an automaton on a word")
-    p.add_argument("automaton")
-    p.add_argument("word", help="comma-separated atoms, empty for the empty word")
-    p.set_defaults(handler=_cmd_dfa_run)
-
-    p = sub.add_parser("dfa-equiv", help="compare the languages of two automata")
-    p.add_argument("automaton1")
-    p.add_argument("automaton2")
-    p.add_argument("--brute", nargs=2, type=int, metavar=("MAXLEN", "POOL"),
-                   help="enumerate words instead of the symbolic search")
-    p.set_defaults(handler=_cmd_dfa_equiv)
-
+    for name, (help_line, handler, *arguments) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        for argument in arguments:
+            flag, options = (argument, {}) if isinstance(argument, str) else argument
+            p.add_argument(flag, **options)
+        p.set_defaults(handler=handler)
     return parser
 
 

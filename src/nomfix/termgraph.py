@@ -28,6 +28,7 @@ finite tree is a graph too, with one state per shared subtree, so
 the free atoms of such graphs.
 """
 
+import re
 from types import MappingProxyType, SimpleNamespace
 
 from .perm import apply, is_atom
@@ -382,18 +383,23 @@ def _number(graph, state):
 
 
 def _levels(graph, state, depth):
-    """The numbers of the states ``state`` reaches in exactly ``k`` steps,
-    one set for each ``k < depth``, lazily, up to the first empty one: the
-    states of the nodes at each level of the depth-``depth`` truncation."""
-    level = {_number(graph, state)}
+    """The states ``state`` reaches in exactly ``k`` steps, one dict for each
+    ``k < depth``, lazily, up to the first empty one: the states of the nodes
+    at each level of the depth-``depth`` truncation, each mapped from its
+    number to the number of paths from the root that reach it there."""
+    level = {_number(graph, state): 1}
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     kids = graph._kids
     for k in range(depth):
         if k:
-            level = {c for s in level for c in kids[s]}
-            if not level:
+            below = {}
+            for s, paths in level.items():
+                for c in kids[s]:
+                    below[c] = below.get(c, 0) + paths
+            if not below:
                 return
+            level = below
         yield level
 
 
@@ -626,7 +632,11 @@ def render_tree(tree, ascii_cut=False):
     """
     cut = "_" if ascii_cut else "⊥"
     out = []
-    stack = [tree]  # subtrees still to render, and text to emit between them
+    if tree is not CUT and not isinstance(tree, Node):
+        raise ValueError(f"tree {tree!r} is neither a Node nor CUT")
+    # subtrees still to render, each checked before it is pushed, and the
+    # text to emit between them, so a str popped is always text
+    stack = [tree]
     while stack:
         t = stack.pop()
         if isinstance(t, str):
@@ -647,29 +657,15 @@ def render_tree(tree, ascii_cut=False):
             for bound, children in t.groups:
                 items.extend(f" {b}" for b in bound)
                 for c in children:
+                    if c is not CUT and not isinstance(c, Node):
+                        raise ValueError(f"child {c!r} of '{op}' is neither a Node nor CUT")
                     items += (" ", c)
             items.append(")")
             stack.extend(reversed(items))
     return "".join(out)
 
 
-def _tokenize(text):
-    tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "()":
-            tokens.append(ch)
-            i += 1
-        else:
-            j = i
-            while j < len(text) and not text[j].isspace() and text[j] not in "()":
-                j += 1
-            tokens.append(text[i:j])
-            i = j
-    return tokens
+_TOKEN = r"[()]|[^\s()]+"  # a parenthesis, or a longest run of neither that nor space
 
 
 def parse_tree(signature, text):
@@ -681,7 +677,7 @@ def parse_tree(signature, text):
     the parse keeps an explicit stack instead of recursing.
     """
     stack = [[]]  # the items of every open node; the bottom holds the result
-    for pos, token in enumerate(_tokenize(text)):
+    for pos, token in enumerate(re.findall(_TOKEN, text)):
         if len(stack) == 1 and stack[0]:
             raise ValueError(f"trailing input at token {pos}")
         if token == "(":
@@ -719,12 +715,12 @@ def _build_node(signature, items):
     def atom(what):
         item = next(rest, ")")
         try:
-            value = int(item)
-        except (TypeError, ValueError):
-            value = -1
-        if value < 0:
-            raise ValueError(f"expected {what}, got {item!r}")
-        return value
+            # int() would also take signs, "_" and non-ASCII digits
+            if item.isascii() and item.isdigit():
+                return int(item)
+        except (AttributeError, ValueError):  # a subtree, or past int()'s digit limit
+            pass
+        raise ValueError(f"expected {what}, got {item!r}")
 
     def child():
         item = next(rest, ")")

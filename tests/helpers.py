@@ -5,7 +5,7 @@ import itertools
 from nomfix.abstraction import Abstraction
 from nomfix.fsfunc import DistinctFsFun, FsFun, distinct_apply, fill, fs_from_table
 from nomfix.perm import fresh, make_perm
-from nomfix.termgraph import CUT, LAMBDA_SIG, Node, TermGraph
+from nomfix.termgraph import CUT, LAMBDA_SIG, Node, TermGraph, _fold_tree
 from nomfix.values import act_value, support_value
 
 
@@ -60,6 +60,35 @@ def unfold_oracle(graph, state, depth):
             for name, node in graph.states.items()
         }
     return prev[state]
+
+
+def rendered_nodes(tree):
+    """Node count of the rendering of ``tree``, each ``CUT`` counting one:
+    one memoised pass over its shared subtrees, so it costs their number,
+    not the rendering's size."""
+    return _fold_tree(tree, lambda t, groups: 1 + sum(sum(kids) for _, kids in groups),
+                      lambda leaf: 1)
+
+
+def tokenize_oracle(text):
+    """The tokens of the :func:`parse_tree` syntax, read one character at a
+    time: each parenthesis, and each maximal run of other non-space text."""
+    tokens = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+        elif ch in "()":
+            tokens.append(ch)
+            i += 1
+        else:
+            j = i
+            while j < len(text) and not text[j].isspace() and text[j] not in "()":
+                j += 1
+            tokens.append(text[i:j])
+            i = j
+    return tokens
 
 
 def fv_oracle(graph):

@@ -14,9 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nomfix
+from nomfix import termgraph
 from nomfix.cli import main
 from nomfix.serialize import canonical_dumps
-from nomfix.termgraph import graph_from_jsonable, graph_to_jsonable
+from nomfix.termgraph import Node, graph_from_jsonable, graph_to_jsonable
 
 LAM_BLOB = {
     "sig": "lambda",
@@ -286,15 +287,24 @@ def test_support_prints_atoms_past_the_machine_word(files, capsys):
 
 
 def test_graph_commands_load_no_automaton_code(files):
-    # a fresh interpreter, so that nothing imported by other tests counts
-    g = files("loop.json", LOOP_BLOB)
-    code = ("import sys; from nomfix.cli import main; main(['support', sys.argv[1], 't']); "
-            "print([m for m in ('dataclasses', 'nomfix.nomauto', 'nomfix.nomset')"
-            " if m in sys.modules])")
+    # a fresh interpreter per command, so that nothing imported by other tests
+    # counts; the automaton and orbit commands load no graph code either
+    g, dfa, family = (files("loop.json", LOOP_BLOB), files("l1.json", L1_BLOB),
+                      files("set.json", SET_BLOB))
+    code = ("import sys; from nomfix.cli import main; main(sys.argv[2:]); "
+            "print([m for m in sys.argv[1].split(',') if m in sys.modules])")
     src = os.path.dirname(os.path.dirname(os.path.abspath(nomfix.__file__)))
-    proc = subprocess.run([sys.executable, "-S", "-c", code, g], capture_output=True,
-                          text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[5]\n[]\n", "")
+    for argv, unused, out in [
+        (["support", g, "t"], "dataclasses,nomfix.nomauto,nomfix.nomset", "[5]\n"),
+        (["dfa-run", dfa, "3,3"], "dataclasses,nomfix.termgraph", "accept\n"),
+        (["dfa-equiv", dfa, dfa], "dataclasses,nomfix.termgraph", "equivalent\n"),
+        (["orbits", family], "dataclasses,nomfix.termgraph,nomfix.nomauto",
+         "pair degree=2 symmetry=2 strong=no\nsolo degree=1 symmetry=1 strong=yes\n"),
+    ]:
+        proc = subprocess.run([sys.executable, "-S", "-c", code, unused, *argv],
+                              capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src), timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, out + "[]\n", "")
 
 
 def test_main_leaves_the_cycle_collector_as_it_found_it(files, capsys):
@@ -498,6 +508,33 @@ def test_deep_unfold_of_a_loop_is_refused_before_it_is_built(files, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "unfolding has more than the 1000000 nodes that unfold prints\n"
+
+
+def test_refused_unfolds_build_no_node(files, capsys, monkeypatch):
+    built = 0
+
+    class CountingNode(Node):
+        def __init__(self, *args):
+            nonlocal built
+            built += 1
+            super().__init__(*args)
+
+    monkeypatch.setattr(termgraph, "Node", CountingNode)
+    doubling = files("doubling.json", {"sig": "lambda", "states": {
+        "s": {"op": "app", "atoms": [], "groups": [{"bound_atoms": [], "children": ["s", "s"]}]},
+    }})
+    loop = files("loop.json", {"sig": "lambda", "states": {
+        "s": {"op": "lam", "atoms": [], "groups": [{"bound_atoms": [0], "children": ["s"]}]},
+    }})
+    assert main(["unfold", doubling, "s", "--depth", "20"]) == 2
+    assert main(["unfold", loop, "s", "--depth", "10000000"]) == 2
+    assert capsys.readouterr().err == (
+        "unfolding has 2097151 nodes, more than the 1000000 that unfold prints\n"
+        "unfolding has more than the 1000000 nodes that unfold prints\n")
+    assert built == 0
+    # the loader bypasses the constructor, so an unfold that prints counts just its own nodes
+    assert main(["unfold", doubling, "s", "--depth", "18"]) == 0 and built == 18
+    capsys.readouterr()
 
 
 JSON_VALUES = st.recursive(

@@ -7,9 +7,12 @@ equality.  Production verdicts must agree with both at every tested depth.
 """
 
 import random
+import re
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nomfix import termgraph
 from nomfix.perm import FinPerm, apply, make_perm
@@ -47,6 +50,8 @@ from helpers import (
     mutate_one_rule,
     random_lambda_graph,
     raw_tree,
+    rendered_nodes,
+    tokenize_oracle,
     tree_alpha_oracle,
     unfold_oracle,
 )
@@ -254,6 +259,17 @@ def test_unfold_builds_only_the_levels_the_root_reaches():
         assert built == expected_built == distinct_nodes(tree)
 
 
+def test_level_path_counts_sum_to_the_rendered_size():
+    # the count nomfix unfold checks before it builds: a node for each path
+    # to a level above the depth, a cut for each path to the level at it
+    rng = random.Random(1501)
+    doubling = TermGraph(LAMBDA_SIG, {"s": Node("app", (), (((), ("s", "s")),))})
+    for g, s in [(doubling, "s")] + [random_lambda_graph(rng, 6, 3) for _ in range(150)]:
+        for depth in range(9):
+            paths = sum(sum(level.values()) for level in termgraph._levels(g, s, depth + 1))
+            assert paths == rendered_nodes(unfold(g, s, depth))
+
+
 def test_node_equality_and_hash_handle_deep_and_shared_trees():
     chain = TermGraph(LAMBDA_SIG, {"s": Node("lam", (), (((0,), ("s",)),))})
     a, b = unfold(chain, "s", 3000), unfold(chain, "s", 3000)
@@ -295,6 +311,14 @@ def test_render_tree_rejects_non_string_operations_and_labels():
         with pytest.raises(ValueError, match="is not a string"):
             render_tree(tree)
     assert render_tree(Node("lit", (0,), (((1,), (CUT,)),), label="x")) == "(lit:x 0 1 ⊥)"
+
+
+def test_render_tree_rejects_children_that_are_neither_trees_nor_cut():
+    for tree in (Node("app", (), (((), ("x", "y")),)), Node("lam", (), (((0,), (7,)),)),
+                 Node("lam", (), (((0,), (Node("app", (), (((), (CUT, None)),)),)),)),
+                 "(var 0)", 5):
+        with pytest.raises(ValueError, match="is neither a Node nor CUT"):
+            render_tree(tree)
 
 
 def test_free_atoms_examples():
@@ -603,9 +627,20 @@ def test_act_tree_maps_shared_subtrees_once():
 def test_parse_tree_rejects_malformed_text():
     for text in ["", "(lam 0", "(lam 0 ⊥))", "(lam 0 ⊥) ⊥", "lam", ")",
                  "(lam x ⊥)", "(lam 0 3)", "(lam 0 ⊥ ⊥)", "(var)", "()",
-                 "((var 0))", "(nope 0)", "(var -1)"]:
+                 "((var 0))", "(nope 0)", "(var -1)",
+                 # an atom is a run of ASCII digits, as int() alone would not insist
+                 "(var +3)", "(var \u0663)", "(var 1_0)", "(lam +0 ⊥)"]:
         with pytest.raises(ValueError):
             parse_tree(LAMBDA_SIG, text)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(st.text(max_size=30)
+       | st.lists(st.sampled_from(["(", ")", " ", "\t\n", "\x1c", "\x85", "\u3000",
+                                   "lam", "0", "\u0663", "⊥", "_", "a:b"]),
+                  max_size=12).map("".join))
+def test_parse_tree_tokens_match_a_character_scan(text):
+    assert re.findall(termgraph._TOKEN, text) == tokenize_oracle(text)
 
 
 def test_tree_alpha_eq_rejects_mismatched_arities():
