@@ -7,16 +7,18 @@ stored form coincides with the class equality tested by abstr_eq.  Only the
 constructor computes that support: the permutation action uses
 equivariance, supp(pi.x) = pi.supp(x), to pick the image's binder directly.
 Bodies are arbitrary protocol values, so abstractions nest and mix with
-tuples, orbit elements, and finitely supported functions.
+tuples, orbit elements, and finitely supported functions.  Abstractions are
+immutable records: ``==`` and hashing go by the stored binder and body.
 """
 
 from __future__ import annotations
 
 from .perm import FinPerm, apply_set, compose, fresh, is_atom, make_perm
+from .record import Record, fill
 from .values import act_value, support_value
 
 
-class Abstraction:
+class Abstraction(Record):
     __slots__ = ("binder", "body")
 
     def __init__(self, binder: int, body):
@@ -26,34 +28,20 @@ class Abstraction:
         canonical = fresh(free)
         if canonical != binder:
             body = act_value(make_perm([(binder, canonical)]), body)
-        self.binder = canonical
-        self.body = body
+        fill(self, canonical, body)
 
     def apply_perm(self, f: FinPerm) -> "Abstraction":
         # By equivariance the image's support is f(support()), so its binder
         # b' is the least atom outside that set, and its body is f.body with
         # f(binder) renamed to b'.
-        out = Abstraction.__new__(Abstraction)
-        out.binder = fresh(apply_set(f, self.support()))
+        binder = fresh(apply_set(f, self.support()))
         moved = f(self.binder)
-        if moved != out.binder:
-            f = compose(make_perm([(moved, out.binder)]), f)
-        out.body = act_value(f, self.body)
-        return out
+        if moved != binder:
+            f = compose(make_perm([(moved, binder)]), f)
+        return fill(Abstraction.__new__(Abstraction), binder, act_value(f, self.body))
 
     def support(self) -> frozenset[int]:
         return support_value(self.body) - {self.binder}
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Abstraction):
-            return NotImplemented
-        return (self.binder, self.body) == (other.binder, other.body)
-
-    def __hash__(self) -> int:
-        return hash((self.binder, self.body))
-
-    def __repr__(self) -> str:
-        return f"Abstraction({self.binder}, {self.body!r})"
 
 
 def abstr(binder: int, body) -> Abstraction:

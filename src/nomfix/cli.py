@@ -86,19 +86,20 @@ def _cmd_eq(args):
 
 
 def _cmd_unfold(args):
-    from .termgraph import _levels, render_tree, unfold
+    from .termgraph import _SATURATED, _levels, render_tree, unfold
     graph, depth, cap = _load_graph(args.graph), args.depth, MAX_UNFOLD_NODES
     # Size the rendering before building it: a node for each root path to
     # each state of a level above the depth, and a cut for each path to a
-    # state of the level at it.  A level as deep as the graph has states
-    # sits on a cycle, so every level down to the depth is nonempty.
+    # state of the level at it; a saturated sum only bounds that from below.
+    # A level as deep as the graph has states sits on a cycle, so every
+    # level down to the depth is nonempty.
     states = nodes = 0
     for k, level in enumerate(_levels(graph, args.state, depth + 1)):
         nodes += sum(level.values())
         if k < depth:
             states += len(level)
-            if states > cap or (k >= len(graph.states) and depth >= cap):
-                raise CliError(f"unfolding has more than the {cap} nodes that unfold prints")
+        if states > cap or nodes >= _SATURATED or depth >= cap and len(graph.states) <= k < depth:
+            raise CliError(f"unfolding has more than the {cap} nodes that unfold prints")
     if nodes > cap:
         raise CliError(f"unfolding has {nodes} nodes, more than the {cap} that unfold prints")
     print(render_tree(unfold(graph, args.state, depth), ascii_cut=args.ascii))

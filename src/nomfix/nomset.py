@@ -5,7 +5,8 @@ elements reachable from one n-tuple of distinct atoms, quotiented by a
 coordinate symmetry group: ordered pairs have trivial symmetry, unordered
 pairs are quotiented by the swap, necklaces by cyclic shifts.  An element is
 stored as its orbit name plus the lexicographically least register tuple in
-its symmetry coset, so structural equality is semantic equality.
+its symmetry coset, so structural equality is semantic equality.  Orbit
+descriptors and elements are immutable records.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import math
 from typing import Iterable, Optional, Sequence
 
 from .perm import FinPerm, fresh, is_atom, make_perm
+from .record import Record, fill
 from .search import bfs
 from .values import act_value
 
@@ -62,26 +64,13 @@ class CoordGroup:
         return f"CoordGroup({self.degree}, order={self.order})"
 
 
-class OrbitDescriptor:
+class OrbitDescriptor(Record):
     __slots__ = ("name", "degree", "symmetry")
 
     def __init__(self, name: str, degree: int, symmetry: CoordGroup):
         if symmetry.degree != degree:
             raise ValueError("symmetry degree must match orbit degree")
-        self.name = name
-        self.degree = degree
-        self.symmetry = symmetry
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, OrbitDescriptor):
-            return NotImplemented
-        return (self.name, self.degree, self.symmetry) == (other.name, other.degree, other.symmetry)
-
-    def __hash__(self) -> int:
-        return hash((self.name, self.degree, self.symmetry))
-
-    def __repr__(self) -> str:
-        return f"OrbitDescriptor({self.name!r}, degree={self.degree})"
+        fill(self, name, degree, symmetry)
 
 
 class OrbitFiniteSet:
@@ -120,8 +109,9 @@ def _canonical_coset(symmetry: CoordGroup, registers: tuple[int, ...]) -> tuple[
                for p in symmetry.closure)
 
 
-class Element:
-    """One element: orbit name plus canonical distinct register tuple."""
+class Element(Record):
+    """One element: orbit name plus canonical distinct register tuple.  Its
+    hash leaves out the family, which is slow to hash and rarely differs."""
 
     __slots__ = ("family", "orbit", "registers")
 
@@ -134,22 +124,13 @@ class Element:
             raise ValueError("registers are nonnegative integer atoms")
         if len(set(regs)) != len(regs):
             raise ValueError("registers must be pairwise distinct")
-        self.family = family
-        self.orbit = orbit
-        self.registers = _canonical_coset(descriptor.symmetry, regs)
+        fill(self, family, orbit, _canonical_coset(descriptor.symmetry, regs))
 
     def apply_perm(self, f: FinPerm) -> "Element":
         return Element(self.family, self.orbit, tuple(f(a) for a in self.registers))
 
     def support(self) -> frozenset[int]:
         return frozenset(self.registers)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Element):
-            return NotImplemented
-        if self.family is not other.family and self.family != other.family:
-            return False
-        return self.orbit == other.orbit and self.registers == other.registers
 
     def __hash__(self) -> int:
         return hash((self.orbit, self.registers))

@@ -78,6 +78,7 @@ class _Cut:
 
 CUT = _Cut()
 _CUT_MARKS = ("⊥", "_")  # CUT as render_tree prints it, and its ASCII form
+_SATURATED = 1 << 64  # _levels counts root paths up to here, far above any cap
 
 
 class OpSpec(Record):
@@ -386,7 +387,7 @@ def _levels(graph, state, depth):
     """The states ``state`` reaches in exactly ``k`` steps, one dict for each
     ``k < depth``, lazily, up to the first empty one: the states of the nodes
     at each level of the depth-``depth`` truncation, each mapped from its
-    number to the number of paths from the root that reach it there."""
+    number to the number of root paths that reach it there, capped at ``_SATURATED``."""
     level = {_number(graph, state): 1}
     if depth < 0:
         raise ValueError("depth must be nonnegative")
@@ -399,6 +400,8 @@ def _levels(graph, state, depth):
                     below[c] = below.get(c, 0) + paths
             if not below:
                 return
+            if max(below.values()) > _SATURATED:  # keep the sums small and cheap
+                below = {s: min(paths, _SATURATED) for s, paths in below.items()}
             level = below
         yield level
 

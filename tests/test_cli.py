@@ -537,6 +537,54 @@ def test_refused_unfolds_build_no_node(files, capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_unfold_past_the_int_digit_limit_exits_2(files, capsys):
+    # 2^15001 - 1 nodes has more digits than int() may print; path counts
+    # saturate, so the guard needs no exact count
+    g = files("doubling.json", {"sig": "lambda", "states": {
+        "s": {"op": "app", "atoms": [], "groups": [{"bound_atoms": [], "children": ["s", "s"]}]},
+    }})
+    assert main(["unfold", g, "s", "--depth", "15000"]) == 2
+    assert capsys.readouterr() == ("", "unfolding has more than the 1000000 nodes that unfold prints\n")
+    # at depth 64 only the last, cut level's count saturates
+    assert main(["unfold", g, "s", "--depth", "64"]) == 2
+    assert capsys.readouterr() == ("", "unfolding has more than the 1000000 nodes that unfold prints\n")
+
+
+def test_unfold_of_a_wide_ring_is_refused_quickly(files, capsys):
+    # x_i = app(x_i, x_i+1): level k holds k + 1 states whose path counts are
+    # binomial coefficients, which summed exactly took half a second here
+    n = 2000
+    g = files("ring.json", {"sig": "lambda", "states": {
+        f"x{i}": {"op": "app", "atoms": [],
+                  "groups": [{"bound_atoms": [], "children": [f"x{i}", f"x{(i + 1) % n}"]}]}
+        for i in range(n)}})
+    start = time.perf_counter()
+    assert main(["unfold", g, "x0", "--depth", "1500"]) == 2
+    assert time.perf_counter() - start < 0.25
+    assert capsys.readouterr() == ("", "unfolding has more than the 1000000 nodes that unfold prints\n")
+
+
+def test_negative_unfold_depth_exits_2(files, capsys):
+    g = files("lam.json", LAM_BLOB)
+    assert main(["unfold", g, "s", "--depth", "-2"]) == 2
+    assert capsys.readouterr() == ("", "depth must be nonnegative\n")
+
+
+def test_duplicate_operation_in_a_signature_exits_2(files, capsys):
+    op = {"name": "v", "atoms": 1, "groups": []}
+    g = files("dup.json", {"sig": {"ops": [op, dict(op, atoms=0)]},
+                           "states": {"s": {"op": "v", "atoms": [0], "groups": []}}})
+    assert main(["support", g, "s"]) == 2
+    assert capsys.readouterr() == ("", f"{g}: duplicate operation 'v'\n")
+
+
+@pytest.mark.parametrize("bounds", [["-1", "1"], ["0", "0"]])
+def test_dfa_equiv_brute_bounds_exit_2(files, capsys, bounds):
+    l1 = files("l1.json", L1_BLOB)
+    assert main(["dfa-equiv", l1, l1, "--brute", *bounds]) == 2
+    assert capsys.readouterr() == ("", "--brute needs MAXLEN >= 0 and POOL >= 1\n")
+
+
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
     lambda inner: (st.lists(inner, max_size=3)

@@ -428,6 +428,43 @@ def test_constructor_matches_swap_test_oracle(quadruple):
         repr(swap_test_fsfun(*quadruple))
 
 
+def rebuilt(value):
+    """An equal value built from other constructor arguments: each
+    DistinctFsFun from a section of itself, so from another inner function
+    in general, and each Element over an equal copy of its family."""
+    if isinstance(value, int):
+        return value
+    if isinstance(value, tuple):
+        return tuple(map(rebuilt, value))
+    if isinstance(value, Abstraction):
+        return Abstraction(value.binder, rebuilt(value.body))
+    if isinstance(value, FsFun):
+        return FsFun(value.default_atom, rebuilt(value.default_value), value.keys,
+                     tuple(map(rebuilt, value.values)))
+    if isinstance(value, Element):
+        return Element(OrbitFiniteSet(value.family.orbits), value.orbit, value.registers)
+    return DistinctFsFun(value.arity, section(value, range(7, 7 + 2 * value.arity)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(VALUES, min_size=1, max_size=3),
+       st.lists(st.tuples(ATOMS, ATOMS).filter(lambda t: t[0] != t[1]), max_size=3))
+def test_equal_values_hash_equal(values, swaps):
+    pi = make_perm(swaps)
+    # rebuilt, then moved there and back through every apply_perm
+    copies = [act_value(invert(pi), act_value(pi, rebuilt(v))) for v in values]
+    assert copies == values
+    for a in values + copies:
+        for b in values + copies:
+            assert a != b or hash(a) == hash(b)
+    # containers keyed by values find each one under its equal copy
+    assert set(copies) == set(values) and len(set(values + copies)) == len(set(values))
+    index = {v: i for i, v in enumerate(values)}
+    assert {c: index[c] for c in copies} == index
+    wrapped = Abstraction(0, tuple(values)), FsFun(0, 0, (1,), (tuple(values),))
+    assert {Abstraction(0, tuple(copies)), FsFun(0, 0, (1,), (tuple(copies),))} == set(wrapped)
+
+
 def rand_nested(rng, depth, pool=3):
     if depth == 0:
         return rng.randrange(pool)

@@ -108,6 +108,15 @@ def test_step_rejects_bad_input_atoms():
         dfa_step(dfa, state, True)
 
 
+def test_step_rejects_a_state_of_another_automaton():
+    dfa = l1_dfa()
+    foreign = Element(OrbitFiniteSet([OrbitDescriptor("q0", 0, CoordGroup(0))]), "q0", ())
+    with pytest.raises(ValueError, match="^state does not belong to this automaton$"):
+        dfa_step(dfa, foreign, 0)
+    # a state of an equal family built separately is the automaton's own
+    assert dfa_step(dfa, dfa_initial(l1_dfa()), 4) == dfa_step(dfa, dfa_initial(dfa), 4)
+
+
 def test_language_is_equivariant():
     rng = random.Random(31)
     for _ in range(100):

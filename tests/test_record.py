@@ -8,7 +8,9 @@ import pickle
 
 import pytest
 
+from nomfix.abstraction import Abstraction
 from nomfix.nomauto import OrbitRules, TargetExpr
+from nomfix.nomset import CoordGroup, Element, OrbitDescriptor, OrbitFiniteSet
 from nomfix.termgraph import Node, OpSpec
 
 # (record, its dataclass repr, the same record built from other sequences,
@@ -39,10 +41,20 @@ CASES = [
      OrbitRules([TargetExpr("acc", [])], TargetExpr("rej", [])),
      ((TargetExpr("acc", ()),), TargetExpr("rej", ())),
      OrbitRules((), TargetExpr("rej", ()))),
+    # an abstraction is rebuilt from another binder of the same class
+    (Abstraction(0, (0, 1)), "Abstraction(binder=0, body=(0, 1))",
+     Abstraction(3, (3, 1)), (0, (0, 1)), Abstraction(0, (1, 0))),
+    (Abstraction(7, (2, 2)), "Abstraction(binder=0, body=(2, 2))",
+     Abstraction(0, (2, 2)), (0, (2, 2)), Abstraction(1, (1, 2))),
+    (OrbitDescriptor("up", 2, CoordGroup(2, [(1, 0)])),
+     "OrbitDescriptor(name='up', degree=2, symmetry=CoordGroup(2, order=2))",
+     OrbitDescriptor("up", 2, CoordGroup(2, [[1, 0]])), ("up", 2, CoordGroup(2, [(1, 0)])),
+     OrbitDescriptor("up", 2, CoordGroup(2))),
 ]
 
 
-FIRST_FIELD = {Node: "op", OpSpec: "name", TargetExpr: "orbit", OrbitRules: "equal_cases"}
+FIRST_FIELD = {Node: "op", OpSpec: "name", TargetExpr: "orbit", OrbitRules: "equal_cases",
+               Abstraction: "binder", OrbitDescriptor: "name"}
 
 
 @pytest.mark.parametrize("record, text, rebuilt, fields, other", CASES)
@@ -62,3 +74,26 @@ def test_records_keep_the_frozen_dataclass_contract(record, text, rebuilt, field
     assert getattr(record, name) == fields[0]
     assert copy.copy(record) == copy.deepcopy(record) == record
     assert pickle.loads(pickle.dumps(record)) == record
+
+
+UPAIR = OrbitFiniteSet([OrbitDescriptor("up", 2, CoordGroup(2, [(1, 0)]))])
+
+
+def test_elements_are_records_hashed_without_their_family():
+    e = Element(UPAIR, "up", [5, 2])
+    assert repr(e) == "Element('up', (2, 5))"
+    for name in ("family", "orbit", "registers"):
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(e, name, None)
+        with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+            delattr(e, name)
+    with pytest.raises(AttributeError):
+        e.extra = 1
+    assert (e.orbit, e.registers) == ("up", (2, 5)) and e.family is UPAIR
+    # copies carry an equal family, not the same one, and equal the original
+    for twin in (copy.copy(e), copy.deepcopy(e), pickle.loads(pickle.dumps(e))):
+        assert twin == e and hash(twin) == hash(e) == hash(("up", (2, 5)))
+    assert copy.deepcopy(e).family is not UPAIR
+    # the family still takes part in ==
+    other = OrbitFiniteSet([OrbitDescriptor("up", 2, CoordGroup(2))])
+    assert Element(other, "up", (2, 5)) != e and e != ("up", (2, 5))

@@ -8,6 +8,7 @@ equality.  Production verdicts must agree with both at every tested depth.
 
 import random
 import re
+import sys
 import time
 
 import pytest
@@ -632,6 +633,14 @@ def test_parse_tree_rejects_malformed_text():
                  "(var +3)", "(var \u0663)", "(var 1_0)", "(lam +0 ⊥)"]:
         with pytest.raises(ValueError):
             parse_tree(LAMBDA_SIG, text)
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="this interpreter reads integers of any length")
+def test_parse_tree_rejects_an_atom_past_the_int_digit_limit():
+    digits = "9" * (sys.get_int_max_str_digits() + 1)
+    with pytest.raises(ValueError, match=f"^expected an atom, got '{digits}'$"):
+        parse_tree(LAMBDA_SIG, f"(var {digits})")
 
 
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)
