@@ -21,11 +21,12 @@ pair of nodes.  An alpha configuration carries the renaming as a tuple
 aligned with the left state's free atoms, and the first alpha search
 of a graph turns its states into pickers that carry that tuple to each
 child by position.  :func:`truncation_eq` is the alpha-aware search cut off
-at a depth, so it never materialises the truncations.  Walks over finite
-trees that visit each shared subtree once are one fold, ``_fold_tree``.  A
-finite tree is a graph too, with one state per shared subtree, so
-:func:`tree_alpha_eq` and :func:`tree_free_atoms` are the alpha search and
-the free atoms of such graphs.
+at a depth, so it never materialises the truncations.  A finite tree is a
+graph too, whose rows are its own nodes, one per shared subtree, so
+:func:`tree_alpha_eq` is the alpha search on two such graphs, plus a check
+that matched nodes have the same arities, and :func:`tree_free_atoms` reads
+the free atoms of one.  Hashing and :func:`act_tree` are one bottom-up
+fold, ``_fold_tree``, that visits each shared subtree once.
 """
 
 import re
@@ -437,8 +438,7 @@ def tree_free_atoms(tree):
 
     An occurrence is free when no binder group above it binds the atom.
     """
-    graph, root = _tree_graph(tree)
-    return frozenset(_fv_table(graph)[root])
+    return frozenset(_fv_table(_tree_graph(tree))[0])
 
 
 def _check_pair(g1, s1, g2, s2):
@@ -568,37 +568,49 @@ def truncation_eq(g1, s1, g2, s2, depth):
 
 
 def _tree_graph(tree):
-    """A finite tree as a compiled graph, and the number of its root.
+    """A finite tree as a compiled graph whose root is state 0.
 
-    Each distinct subtree object is one state, so shared subtrees cost their
-    number, not their paths.  A leaf that is not a :class:`Node`, such as
-    :data:`CUT`, is a childless state whose operation is the leaf itself, so
-    it matches only an equal leaf.  Hand-built trees are never validated, so
-    a node's operation also carries its arities: nodes of different shapes
-    never match.
+    One breadth-first walk numbers each distinct subtree object, so shared
+    subtrees cost their number, not their paths, and the tree's own nodes
+    are the rows.  A leaf that is not a :class:`Node`, such as :data:`CUT`,
+    gets one childless row whose operation is the leaf itself, so it matches
+    only an equal leaf; ``_leaves`` holds the numbers of those rows.
     """
-    nodes, kids = [], []
-
-    def state(node, row):
-        nodes.append(node)
-        kids.append(row)
-        return len(nodes) - 1
-
-    root = _fold_tree(tree, lambda t, groups: state(
-        Node((t.op, len(t.atoms), tuple([(len(b), len(c)) for b, c in groups])),
-             t.atoms, groups, t.label),
-        tuple([c for _, children in groups for c in children]),
-    ), lambda leaf: state(Node(leaf, (), ()), ()))
-    return SimpleNamespace(_nodes=nodes, _kids=kids, _fv=None, _alpha=None), root
+    number, nodes, kids, leaves = {id(tree): 0}, [tree], [], set()
+    for s, t in enumerate(nodes):  # nodes grows as the walk meets new subtrees
+        if not isinstance(t, Node):
+            nodes[s] = t = Node(t, (), ())
+            leaves.add(s)
+        row = []
+        for _, children in t.groups:
+            for c in children:
+                row.append(number.setdefault(id(c), len(nodes)))  # the tree keeps ids alive
+                if row[-1] == len(nodes):
+                    nodes.append(c)
+        kids.append(tuple(row))
+    return SimpleNamespace(_nodes=nodes, _kids=kids, _leaves=leaves, _fv=None, _alpha=None)
 
 
 def tree_alpha_eq(t1, t2):
     """Alpha-equivalence of two finite trees: the search of
     :func:`alpha_bisim` on the two trees as graphs, so :data:`CUT` only
     matches :data:`CUT` and each pair of subtrees is searched once per
-    renaming of the left one's free atoms."""
-    (g1, i1), (g2, i2) = _tree_graph(t1), _tree_graph(t2)
-    return bfs(*_alpha_search(g1, g2, i1, i2))[0] is None
+    renaming of the left one's free atoms.  Two nodes match only if they
+    have as many groups, each binding as many atoms over as many children."""
+    g1, g2 = _tree_graph(t1), _tree_graph(t2)
+    nodes1, nodes2, leaves1, leaves2 = g1._nodes, g2._nodes, g1._leaves, g2._leaves
+    root, expand = _alpha_search(g1, g2, 0, 0)
+
+    def shaped(config):  # hand-built trees are never validated; expand checks atoms
+        a, b = nodes1[config[0]].groups, nodes2[config[1]].groups
+        if len(a) != len(b) or (config[0] in leaves1) != (config[1] in leaves2):
+            return None
+        for (bound_a, kids_a), (bound_b, kids_b) in zip(a, b):
+            if len(bound_a) != len(bound_b) or len(kids_a) != len(kids_b):
+                return None
+        return expand(config)
+
+    return bfs(root, shaped)[0] is None
 
 
 def act_graph(perm, graph):
@@ -704,10 +716,10 @@ def _build_node(signature, items):
     each child already replaced by its tree or :data:`CUT`."""
     if not items or not isinstance(items[0], str):
         raise ValueError("expected an operation after '('")
-    op_name, _, label = items[0].partition(":")
+    op_name, colon, label = items[0].partition(":")
     spec = signature.op(op_name)
-    if label:
-        if spec.labels is None or label not in spec.labels:
+    if colon:  # render_tree never prints an empty label
+        if not label or spec.labels is None or label not in spec.labels:
             raise ValueError(f"label {label!r} not allowed for '{op_name}'")
     else:
         label = None
@@ -747,13 +759,8 @@ def _build_node(signature, items):
 def signature_to_jsonable(signature):
     ops = []
     for spec in signature.ops:
-        blob = {
-            "name": spec.name,
-            "atoms": spec.atom_arity,
-            "groups": [
-                {"bound": b, "children": c} for b, c in spec.binder_groups
-            ],
-        }
+        blob = {"name": spec.name, "atoms": spec.atom_arity,
+                "groups": [{"bound": b, "children": c} for b, c in spec.binder_groups]}
         if spec.labels is not None:
             blob["labels"] = sorted(spec.labels)
         ops.append(blob)
@@ -776,20 +783,12 @@ def signature_from_jsonable(blob):
 
 
 def graph_to_jsonable(graph):
-    if graph.signature == LAMBDA_SIG:
-        sig = "lambda"
-    else:
-        sig = signature_to_jsonable(graph.signature)
+    sig = "lambda" if graph.signature == LAMBDA_SIG else signature_to_jsonable(graph.signature)
     states = {}
     for name, node in graph.states.items():
-        entry = {
-            "op": node.op,
-            "atoms": list(node.atoms),
-            "groups": [
-                {"bound_atoms": list(bound), "children": list(children)}
-                for bound, children in node.groups
-            ],
-        }
+        entry = {"op": node.op, "atoms": list(node.atoms),
+                 "groups": [{"bound_atoms": list(bound), "children": list(children)}
+                            for bound, children in node.groups]}
         if node.label is not None:
             entry["label"] = node.label
         states[name] = entry

@@ -191,13 +191,14 @@ def probe_section(f, w):
 def debruijn(tree, table=None):
     """Locally nameless form: bound atoms become binder coordinates.
 
-    Each node's form is its operation, label, atom slots and the numbers of
-    its children's forms; ``table`` numbers the forms, and the number of the
-    root's form is returned.  Two finite trees are alpha-equal exactly when
-    their forms, numbered in one table, get the same number, which makes
-    this an oracle independent of the injection machinery.  The walk keeps
-    an explicit stack and builds one form per subtree, binder depth and
-    scope, so deep and shared unfoldings cost their size as a graph.
+    Each node's form is its operation, label, atom slots and, per group, its
+    bound count and the numbers of its children's forms; ``table`` numbers
+    the forms, and the number of the root's form is returned.  Two finite
+    trees are alpha-equal exactly when their forms, numbered in one table,
+    get the same number, which makes this an oracle independent of the
+    injection machinery.  The walk keeps an explicit stack and builds one
+    form per subtree, binder depth and scope, so deep and shared unfoldings
+    cost their size as a graph.
     """
     table = {} if table is None else table
     memo = {}  # (id(subtree), depth, scope) -> number of its form
@@ -224,7 +225,8 @@ def debruijn(tree, table=None):
             stack += todo
             continue
         slots = tuple(env.get(a, ("free", a)) for a in t.atoms)
-        kids = tuple(tuple(memo[id(c), d, e] for c, d, e in g) for g in groups)
+        kids = tuple((len(bound), tuple(memo[id(c), d, e] for c, d, e in g))
+                     for (bound, _), g in zip(t.groups, groups))
         memo[key] = table.setdefault((t.op, t.label, slots, kids), len(table))
     return memo[id(tree), 0, frozenset()]
 

@@ -34,6 +34,9 @@ def test_binder_canonicalization_examples():
     d = abstr(2, (2, 1))
     assert (d.binder, d.body) == (0, (0, 1))
     assert c == d
+    for binder in (-1, True, 1.0, "0", (0,)):
+        with pytest.raises(ValueError, match="binder must be a nonnegative integer atom"):
+            Abstraction(binder, 0)
 
 
 def test_vacuous_binder_is_forgotten():

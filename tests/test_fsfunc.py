@@ -103,6 +103,17 @@ def test_from_table_reproduces_table_and_fresh_pattern():
 def test_from_table_rejects_clashing_default_atom():
     with pytest.raises(ValueError, match="default atom not fresh"):
         fs_from_table({1: 2}, (1, 0))
+    # the constructor itself checks the atoms and the table's lengths
+    for keys in [(0, -1), (True,), (0.0,), ("1",)]:
+        with pytest.raises(ValueError, match="atoms are nonnegative integers"):
+            FsFun(5, 0, keys, (0,) * len(keys))
+    with pytest.raises(ValueError, match="atoms are nonnegative integers"):
+        FsFun(-5, 0, (), ())
+    with pytest.raises(ValueError, match="keys and values must have equal length"):
+        FsFun(5, 0, (1, 2), (0,))
+    for atom in (-1, True, 1.0, "1"):
+        with pytest.raises(ValueError, match="atoms are nonnegative integers"):
+            fs_apply(fs_from_table({1: 2}, (7, 0)), atom)
 
 
 def test_fs_eq_examples():
@@ -246,6 +257,9 @@ def test_distinct_fs_fun_rejects_bad_arity():
         with pytest.raises(ValueError, match="arity must be at least 1"):
             DistinctFsFun(arity, inner)
     assert DistinctFsFun(1, inner).arity == 1
+    for arity, inner in [(2, inner), (1, fs_from_table({1: inner}, (7, inner)))]:
+        with pytest.raises(ValueError, match="inner nesting depth must equal the arity"):
+            DistinctFsFun(arity, inner)
 
 
 def test_section_roundtrip_arity_two():
@@ -286,6 +300,8 @@ def test_distinct_fs_eq_ignores_behaviour_off_distinct_tuples():
         # two different total extensions of the same restriction
         assert distinct_fs_eq(restrict_distinct(section(f, w1)),
                               restrict_distinct(section(f, w2)))
+    # restrictions of different arities are never equal
+    assert not distinct_fs_eq(f, restrict_distinct(fs_from_table({}, (7, 0))))
 
 
 def test_distinct_support_matches_brute_force():

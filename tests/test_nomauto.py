@@ -6,6 +6,7 @@ atom pool, which is exhaustive for refutation because register contents
 only ever come from past inputs.
 """
 
+import json
 import random
 
 import pytest
@@ -260,6 +261,19 @@ def test_json_roundtrip():
     back = dfa_from_jsonable(blob)
     assert dfa_to_jsonable(back) == blob
     assert dfa_equiv(dfa, back) == (True, None)
+    # register sources are integers in JSON
+    rng = random.Random(61)
+    sources = set()
+    for _ in range(20):
+        dfa = random_dfa(rng, 4, 3, chain=True)
+        blob = json.loads(json.dumps(dfa_to_jsonable(dfa)))
+        back = dfa_from_jsonable(blob)
+        assert dfa_to_jsonable(back) == blob
+        assert dfa_equiv(dfa, back) == (True, None)
+        for rules in blob["delta"].values():
+            for case in [*rules["equal"].values(), rules["fresh"]]:
+                sources.update(case["sources"])
+    assert {0, 1, "input"} <= sources
 
 
 def test_json_rejects_bad_source_entries():
@@ -268,6 +282,11 @@ def test_json_rejects_bad_source_entries():
     broken = copy.deepcopy(L1_BLOB)
     broken["delta"]["q0"]["fresh"]["sources"] = ["letter"]
     with pytest.raises(ValueError):
+        dfa_from_jsonable(broken)
+    # equal cases are keyed "0" .. "n-1"
+    broken = copy.deepcopy(L1_BLOB)
+    broken["delta"]["q1"]["equal"] = {"1": {"orbit": "acc", "sources": []}}
+    with pytest.raises(ValueError, match="^missing equal case '0'$"):
         dfa_from_jsonable(broken)
 
 

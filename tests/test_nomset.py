@@ -94,6 +94,9 @@ def test_coordgroup_rejects_bad_input():
         CoordGroup(2, [(0, 0)])
     with pytest.raises(ValueError):
         CoordGroup(2, [(1, 2)])
+    with pytest.raises(ValueError, match="symmetry degree must match orbit degree"):
+        OrbitDescriptor("q", 3, CoordGroup(2))
+    assert CoordGroup(2) != (2,)
 
 
 def test_set_requires_unique_orbit_names():
@@ -118,6 +121,9 @@ def test_element_validation():
         Element(p, "pair", (1,))
     with pytest.raises(ValueError):
         Element(p, "nope", (0, 1))
+    for registers in [(0, -1), (0, True), (0, 1.0), (0, "1")]:
+        with pytest.raises(ValueError, match="registers are nonnegative integer atoms"):
+            Element(p, "pair", registers)
 
 
 def test_act_on_unordered_pair_fixes_it():
@@ -204,6 +210,12 @@ def test_same_orbit_distinct_orbits():
     s = OrbitFiniteSet([OrbitDescriptor("a", 1, CoordGroup(1)),
                         OrbitDescriptor("b", 1, CoordGroup(1))])
     assert same_orbit(Element(s, "a", (0,)), Element(s, "b", (0,))) is None
+    # an equal copy of the set is the same set; another set is not
+    twin = OrbitFiniteSet(s.orbits)
+    assert same_orbit(Element(s, "a", (0,)), Element(twin, "a", (3,))) == make_perm([(0, 3)])
+    other = OrbitFiniteSet([OrbitDescriptor("a", 1, CoordGroup(1))])
+    with pytest.raises(ValueError, match="set mismatch"):
+        same_orbit(Element(s, "a", (0,)), Element(other, "a", (0,)))
 
 
 def test_same_orbit_support_sizes_match():
@@ -255,6 +267,9 @@ def test_set_json_roundtrip():
     ]}
     assert set_from_jsonable(blob) == up
     assert set_to_jsonable(set_from_jsonable(blob)) == blob
+    assert hash(set_from_jsonable(blob)) == hash(up)
+    assert repr(up) == "OrbitFiniteSet(['q1', 'q0'])"
+    assert up != up.orbits
 
 
 def test_element_json_roundtrip():
@@ -263,3 +278,6 @@ def test_element_json_roundtrip():
     blob = element_to_jsonable(e)
     assert blob == {"orbit": "upair", "registers": [0, 3]}
     assert element_from_jsonable(up, blob) == e
+    for malformed in [[], {"orbit": "upair"}, {"registers": [0, 3]}, "upair"]:
+        with pytest.raises(ValueError, match="expected an object with 'orbit' and 'registers'"):
+            element_from_jsonable(up, malformed)

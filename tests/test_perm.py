@@ -24,6 +24,7 @@ from nomfix.perm import (
     perm_to_pairs,
     restrict,
 )
+from nomfix.values import act_value, support_value
 
 
 def word_apply(word, a):
@@ -102,6 +103,11 @@ def test_is_atom():
     lambda: FinPerm({1: True}),  # equal to a self-map, but not an atom
     lambda: apply(make_perm([(0, 1)]), True),
     lambda: apply(FinPerm({}), 1.0),
+    # the value protocol refuses negative atoms, nested ones too
+    lambda: act_value(make_perm([(0, 1)]), -1),
+    lambda: act_value(make_perm([(0, 1)]), (1, (-3,))),
+    lambda: support_value(-1),
+    lambda: support_value((0, -2)),
 ])
 def test_non_atoms_are_rejected(build):
     with pytest.raises(ValueError, match="atoms are nonnegative integers"):
@@ -116,6 +122,9 @@ def test_finperm_rejects_bad_maps():
     with pytest.raises(ValueError):
         FinPerm({-1: 0, 0: -1})  # negative atoms
     assert FinPerm({4: 4}) == FinPerm({})  # self-maps are dropped
+    assert hash(FinPerm({4: 4, 0: 1, 1: 0})) == hash(make_perm([(1, 0)]))
+    assert repr(make_perm([(2, 0)])) == "FinPerm({0->2, 2->0})"
+    assert FinPerm({}) != {}
 
 
 def test_compose_applies_right_factor_first():
@@ -214,3 +223,5 @@ def test_serialization_roundtrip_and_order():
     assert perm_to_pairs(perm_from_pairs(pairs)) == pairs
     with pytest.raises(ValueError):
         perm_from_pairs([[0, 1]])
+    with pytest.raises(ValueError, match="duplicate source atom 0"):
+        perm_from_pairs([[0, 1], [0, 2], [1, 0]])

@@ -5,7 +5,8 @@ import pytest
 from nomfix.abstraction import abstr
 from nomfix.fsfunc import fs_from_table, restrict_distinct
 from nomfix.serialize import canonical_dumps, value_from_jsonable, value_to_jsonable
-from nomfix.values import value_eq
+from nomfix.perm import make_perm
+from nomfix.values import act_value, support_value, value_eq
 
 
 def roundtrip(value):
@@ -49,3 +50,16 @@ def test_unknown_encoding_rejected():
         value_from_jsonable({"mystery": 1})
     with pytest.raises(ValueError):
         value_to_jsonable({"not": "a value"})
+
+
+@pytest.mark.parametrize("value", [True, False, (1, True), (0, (False,))])
+def test_booleans_are_not_values(value):
+    # bool is a subclass of int, so each layer checks for it before atoms
+    with pytest.raises(TypeError, match="booleans are not values"):
+        act_value(make_perm([(0, 1)]), value)
+    with pytest.raises(TypeError, match="booleans are not values"):
+        support_value(value)
+    with pytest.raises(ValueError, match="booleans are not values"):
+        value_to_jsonable(value)
+    with pytest.raises(ValueError, match="booleans are not values"):
+        value_from_jsonable(json.loads(json.dumps(value)))

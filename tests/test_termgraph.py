@@ -6,6 +6,7 @@ binder coordinates so finite-tree alpha equality is plain structural
 equality.  Production verdicts must agree with both at every tested depth.
 """
 
+import json
 import random
 import re
 import sys
@@ -93,6 +94,14 @@ def test_validate_reports_violations_without_aborting():
         "state 'd': unknown operation 'nope'",
         "state 'e': expected 1 binder groups, got 0",
     ]
+    # the constructor refuses what is not a graph at all
+    for signature, states, message in [
+        ("lambda", {}, "signature must be a BindingSignature"),
+        (LAMBDA_SIG, {0: Node("var", (0,), ())}, "state names must be strings"),
+        (LAMBDA_SIG, {"u": ("var", (0,), ())}, "states must map names to Node values"),
+    ]:
+        with pytest.raises(TypeError, match=message):
+            TermGraph(signature, states)
 
 
 def test_validate_reports_every_kind_of_problem_in_order():
@@ -304,6 +313,8 @@ def test_render_parse_roundtrip():
         assert parse_tree(LAMBDA_SIG, text) == t
         ascii_text = render_tree(t, ascii_cut=True)
         assert parse_tree(LAMBDA_SIG, ascii_text) == t
+    assert repr(CUT) == "CUT"
+    assert repr(unfold(lam_graph(), "s", 1)).endswith("(CUT,)),), label=None)")
 
 
 def test_render_tree_rejects_non_string_operations_and_labels():
@@ -454,6 +465,8 @@ def test_truncation_examples():
     assert truncation_eq(g, "s", h, "s", 2)
     assert truncation_eq(g, "s", swapped_graph(), "s", 2)
     assert not truncation_eq(g, "s", swapped_graph(), "s", 3)
+    with pytest.raises(ValueError, match="^depth must be nonnegative$"):
+        truncation_eq(g, "s", h, "s", -1)
 
 
 def test_truncation_matches_finite_tree_comparison():
@@ -585,6 +598,35 @@ def test_tree_alpha_eq_visits_shared_subtrees_once():
         assert time.perf_counter() - start < 0.5
 
 
+def test_tree_search_builds_no_node_per_subtree():
+    # a tree is searched on its own nodes: only a leaf that is not a Node,
+    # here CUT, gets a row built for it, once per tree
+    graph = TermGraph(LAMBDA_SIG, {
+        "s": Node("lam", (), (((0,), ("b",)),)),
+        "b": Node("app", (), (((), ("s", "u")),)),
+        "u": Node("var", (0,), ()),
+    })
+    tree = unfold(graph, "s", 3000)
+    renamed = act_tree(make_perm([(0, 5)]), tree)
+    built = 0
+
+    def counting_fill(*args):
+        nonlocal built
+        built += 1
+        return fill(*args)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(termgraph, "fill", counting_fill)
+        assert tree_alpha_eq(tree, renamed)
+        assert built <= 2
+        built = 0
+        assert tree_free_atoms(tree) == frozenset()
+        assert built <= 1
+        # the counter does see the nodes that unfold builds
+        unfold(graph, "s", 30)
+    assert built > 30
+
+
 def test_tree_free_atoms_visits_shared_subtrees_once():
     # s = app(s, b), b = app(s, u): the paths to depth 30 number in the
     # hundreds of thousands, the shared nodes only in the dozens
@@ -630,7 +672,9 @@ def test_parse_tree_rejects_malformed_text():
                  "(lam x ⊥)", "(lam 0 3)", "(lam 0 ⊥ ⊥)", "(var)", "()",
                  "((var 0))", "(nope 0)", "(var -1)",
                  # an atom is a run of ASCII digits, as int() alone would not insist
-                 "(var +3)", "(var \u0663)", "(var 1_0)", "(lam +0 ⊥)"]:
+                 "(var +3)", "(var \u0663)", "(var 1_0)", "(lam +0 ⊥)",
+                 # render_tree never prints "op:" with an empty label
+                 "(lam: 0 ⊥)", "(var: 0)"]:
         with pytest.raises(ValueError):
             parse_tree(LAMBDA_SIG, text)
 
@@ -654,13 +698,6 @@ def test_parse_tree_tokens_match_a_character_scan(text):
 
 def test_tree_alpha_eq_rejects_mismatched_arities():
     # hand-built trees are never validated against a signature
-    assert not tree_alpha_eq(Node("var", (1,), ()), Node("var", (1, 2), ()))
-    assert not tree_alpha_eq(Node("lam", (), (((0,), (CUT,)),)),
-                             Node("lam", (), (((0, 1), (CUT,)),)))
-    assert not tree_alpha_eq(Node("lam", (), (((0,), (CUT,)),)),
-                             Node("lam", (), (((0,), (CUT, CUT)),)))
-    assert not tree_alpha_eq(Node("lam", (), (((0,), (CUT,)),)), Node("lam", (), ()))
-
     def lam(body):
         return Node("lam", (), (((0,), (body,)),))
 
@@ -668,8 +705,15 @@ def test_tree_alpha_eq_rejects_mismatched_arities():
         return Node("lit", (), (), label)
 
     var0 = Node("var", (0,), ())
-    # below a matching root too, and at the leaves: CUT and labelled nodes
     for t1, t2, expected in [
+        (Node("var", (1,), ()), Node("var", (1, 2), ()), False),
+        (lam(CUT), Node("lam", (), (((0, 1), (CUT,)),)), False),
+        (lam(CUT), Node("lam", (), (((0,), (CUT, CUT)),)), False),
+        (lam(CUT), Node("lam", (), ()), False),
+        # a node whose operation is a leaf does not match that leaf
+        (CUT, Node(CUT, (), ()), False),
+        (lam(Node(CUT, (), ())), lam(CUT), False),
+        # below a matching root too, and at the leaves: CUT and labelled nodes
         (CUT, CUT, True),
         (CUT, var0, False),
         (var0, CUT, False),
@@ -687,6 +731,7 @@ def test_tree_alpha_eq_rejects_mismatched_arities():
         (Node("lam", (), (((0, 0), (var0,)),)), Node("lam", (), (((0, 1), (var0,)),)), False),
     ]:
         assert tree_alpha_eq(t1, t2) == expected, (t1, t2)
+        assert tree_alpha_oracle(t1, t2) == expected, (t1, t2)
     assert tree_free_atoms(Node("lam", (), (((0, 0), (var0,)),))) == frozenset()
 
 
@@ -762,6 +807,9 @@ def test_labeled_ops_must_match():
     assert alpha_bisim(gx, "s", gx, "s")
     bad = TermGraph(sig, {"s": Node("lit", (), (), label="z")})
     assert validate(bad) != []
+    assert parse_tree(sig, "(lit:x)") == gx.states["s"]
+    with pytest.raises(ValueError, match="^operation 'lit' requires a label$"):
+        parse_tree(sig, "(lit)")
 
 
 def test_op_spec_accepts_exactly_what_renders_and_parses_back():
@@ -798,6 +846,10 @@ def test_signature_json_roundtrip():
         {"name": "var", "atoms": 1, "groups": []},
     ]}
     assert signature_from_jsonable(blob) == LAMBDA_SIG
+    assert hash(signature_from_jsonable(blob)) == hash(LAMBDA_SIG)
+    assert LAMBDA_SIG != blob
+    assert "lam" in LAMBDA_SIG and "lit" not in LAMBDA_SIG
+    assert repr(LAMBDA_SIG) == "BindingSignature(['lam', 'app', 'var'])"
 
 
 def test_graph_json_roundtrip():
@@ -805,6 +857,27 @@ def test_graph_json_roundtrip():
     blob = graph_to_jsonable(g)
     back = graph_from_jsonable(blob)
     assert back.states == g.states
+    assert graph_to_jsonable(back) == blob
+    assert back == g and back != swapped_graph() and g != g.states
+    assert repr(g) == "TermGraph(3 states)"
+    # an inline signature, with labels, which print sorted
+    sig = BindingSignature([OpSpec("lit", 0, (), ["y", "x"]), OpSpec("pair", 1, ((1, 2),))])
+    g = TermGraph(sig, {"s": Node("pair", (3,), (((0,), ("x", "s")),)),
+                        "x": Node("lit", (), (), "y")})
+    blob = graph_to_jsonable(g)
+    assert blob == {
+        "sig": {"ops": [
+            {"name": "lit", "atoms": 0, "groups": [], "labels": ["x", "y"]},
+            {"name": "pair", "atoms": 1, "groups": [{"bound": 1, "children": 2}]},
+        ]},
+        "states": {
+            "s": {"op": "pair", "atoms": [3], "groups": [{"bound_atoms": [0],
+                                                           "children": ["x", "s"]}]},
+            "x": {"op": "lit", "atoms": [], "groups": [], "label": "y"},
+        },
+    }
+    back = graph_from_jsonable(json.loads(json.dumps(blob)))
+    assert back == g and back.signature == sig and validate(back) == []
     assert graph_to_jsonable(back) == blob
 
 
