@@ -98,7 +98,7 @@ def _cmd_unfold(args):
         nodes += sum(level.values())
         if k < depth:
             states += len(level)
-        if states > cap or nodes >= _SATURATED or depth >= cap and len(graph.states) <= k < depth:
+        if states > cap or nodes >= _SATURATED or depth >= cap and len(graph._kids) <= k < depth:
             raise CliError(f"unfolding has more than the {cap} nodes that unfold prints")
     if nodes > cap:
         raise CliError(f"unfolding has {nodes} nodes, more than the {cap} that unfold prints")

@@ -14,11 +14,15 @@ import json
 from .abstraction import Abstraction
 from .fsfunc import DistinctFsFun, FsFun
 
+_QUADRUPLE = frozenset({"a", "d", "keys", "vals"})  # the keys every FsFun encoding has
+
 
 def value_to_jsonable(value):
     if isinstance(value, bool):
         raise ValueError("booleans are not values")
     if isinstance(value, int):
+        if value < 0:
+            raise ValueError("atoms are nonnegative integers")
         return value
     if isinstance(value, tuple):
         return [value_to_jsonable(v) for v in value]
@@ -40,19 +44,19 @@ def value_from_jsonable(blob):
     if isinstance(blob, bool):
         raise ValueError("booleans are not values")
     if isinstance(blob, int):
+        if blob < 0:
+            raise ValueError("atoms are nonnegative integers")
         return blob
     if isinstance(blob, list):
         return tuple(value_from_jsonable(v) for v in blob)
     if isinstance(blob, dict):
         if "binder" in blob:
-            return Abstraction(blob["binder"], value_from_jsonable(blob["body"]))
-        if "arity" in blob:
+            if "body" in blob:
+                return Abstraction(blob["binder"], value_from_jsonable(blob["body"]))
+        elif _QUADRUPLE <= blob.keys():
             inner = FsFun(blob["a"], value_from_jsonable(blob["d"]),
                           blob["keys"], [value_from_jsonable(v) for v in blob["vals"]])
-            return DistinctFsFun(blob["arity"], inner)
-        if "a" in blob:
-            return FsFun(blob["a"], value_from_jsonable(blob["d"]),
-                         blob["keys"], [value_from_jsonable(v) for v in blob["vals"]])
+            return DistinctFsFun(blob["arity"], inner) if "arity" in blob else inner
     raise ValueError(f"unrecognized value encoding: {blob!r}")
 
 

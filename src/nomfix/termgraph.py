@@ -9,9 +9,10 @@ infinite) tree obtained by unfolding its equation forever; :func:`unfold`
 produces the finite truncation at a given depth, with :data:`CUT` marking
 the pruned subtrees.  Equations and tree nodes are both :class:`Node`.
 
-A graph is compiled once, on first use, by one pass over its states that
-validates and numbers them; their free atoms, the least supports of their
-behaviours, are found on first need, and the operations read states by number.
+A graph stores each equation as a row, the tuple of its node's fields, and
+builds the :class:`Node` mapping ``states`` only when read.  One pass over
+the rows, once per graph, validates and numbers them; free atoms, the least
+supports of behaviours, are found on first need; searches key by number.
 Two notions of behavioural equivalence are provided: :func:`raw_bisim`
 compares denoted trees literally, while :func:`alpha_bisim` compares them
 up to renaming of bound atoms.  Both run :func:`nomfix.search.bfs` over a
@@ -22,7 +23,7 @@ aligned with the left state's free atoms, and the first alpha search
 of a graph turns its states into pickers that carry that tuple to each
 child by position.  :func:`truncation_eq` is the alpha-aware search cut off
 at a depth, so it never materialises the truncations.  A finite tree is a
-graph too, whose rows are its own nodes, one per shared subtree, so
+graph too, with one row per shared subtree read off its own node, so
 :func:`tree_alpha_eq` is the alpha search on two such graphs, plus a check
 that matched nodes have the same arities, and :func:`tree_free_atoms` reads
 the free atoms of one.  Hashing and :func:`act_tree` are one bottom-up
@@ -235,57 +236,56 @@ def _fold_tree(tree, node, leaf):
 
 
 class TermGraph:
-    """A finite system of equations over a binding signature.
-
-    ``states`` maps state names to :class:`Node` right-hand sides.  The
-    mapping is exposed read-only because the graph is compiled once, on
-    first use, and the result is cached on the instance.
-    """
+    """A finite system of equations over a binding signature: ``states``
+    maps state names to :class:`Node` right-hand sides, read-only."""
 
     def __init__(self, signature, states):
         if not isinstance(signature, BindingSignature):
             raise TypeError("signature must be a BindingSignature")
-        store = {}
+        rows = {}
         for name, node in states.items():
             if not isinstance(name, str):
                 raise TypeError("state names must be strings")
             if not isinstance(node, Node):
                 raise TypeError("states must map names to Node values")
-            store[name] = node
-        self._states = store
-        self.signature = signature
-        self.states = MappingProxyType(store)
-        self._problems = None  # _compile sets it after the rest of the compiled form
-        self._fv = self._alpha = None  # built on first use
+            rows[name] = Node._fields(node)
+        self.signature, self._rows = signature, rows  # rows in Node._fields order
+        self._problems = self._fv = self._alpha = self._states = None  # built on first use
+
+    @property
+    def states(self):
+        if self._states is None:
+            self._states = MappingProxyType(
+                {name: fill(object.__new__(Node), *row) for name, row in self._rows.items()})
+        return self._states
 
     def __eq__(self, other):
         if not isinstance(other, TermGraph):
             return NotImplemented
-        return self.signature == other.signature and self._states == other._states
+        return self.signature == other.signature and self._rows == other._rows
 
     def __repr__(self):
-        return f"TermGraph({len(self._states)} states)"
+        return f"TermGraph({len(self._rows)} states)"
 
 
 def _compile(graph):
     """Validate ``graph`` and, if valid, compile it, in one pass once per graph;
     return the problems.  A valid graph numbers its states ``0 .. n-1``
-    (``_index``) and keeps per number the node and its children's numbers."""
+    (``_index``) and keeps per number the row and its children's numbers."""
     if graph._problems is not None:
         return graph._problems
-    states, ops = graph._states, graph.signature._by_name
-    index = {name: i for i, name in enumerate(states)}
+    rows, ops = graph._rows, graph.signature._by_name
+    index = {name: i for i, name in enumerate(rows)}
     problems, kids = [], []
-    for name, node in states.items():
-        op, label, groups = node.op, node.label, node.groups
+    for name, (op, atoms, groups, label) in rows.items():
         spec = ops.get(op) if isinstance(op, str) else None
         if spec is None:
             problems.append(f"state '{name}': unknown operation '{op}'")
             continue
-        if len(node.atoms) != spec.atom_arity:
+        if len(atoms) != spec.atom_arity:
             problems.append(f"state '{name}': expected {spec.atom_arity} atoms,"
-                            f" got {len(node.atoms)}")
-        for a in node.atoms:
+                            f" got {len(atoms)}")
+        for a in atoms:
             if not is_atom(a):
                 problems.append(f"state '{name}': atom {a!r} is not a nonnegative integer")
         if spec.labels is None:
@@ -321,7 +321,7 @@ def _compile(graph):
                 row.append(k)
         kids.append(tuple(row))
     if not problems:
-        graph._index, graph._nodes, graph._kids = index, list(states.values()), kids
+        graph._index, graph._by_number, graph._kids = index, list(rows.values()), kids
     graph._problems = tuple(problems)  # last: a set marker means a finished compile
     return graph._problems
 
@@ -335,13 +335,13 @@ def _fv_table(graph):
     if graph._fv is not None:
         return graph._fv
     bit, fv, parents, keeps = {}, [], [[] for _ in graph._kids], {}
-    for p, (node, kids) in enumerate(zip(graph._nodes, graph._kids)):
+    for p, ((_, atoms, groups, _), kids) in enumerate(zip(graph._by_number, graph._kids)):
         own = 0
-        for a in node.atoms:
+        for a in atoms:
             own |= bit.setdefault(a, 1 << len(bit))
         fv.append(own)
         kid = iter(kids)
-        for bound, children in node.groups:
+        for bound, children in groups:
             keep = keeps.get(bound)  # the bits past the binders, which a tree may repeat
             if keep is None:
                 keep = keeps[bound] = ~sum({bit.setdefault(b, 1 << len(bit)) for b in bound})
@@ -417,12 +417,12 @@ def unfold(graph, state, depth):
     """
     below = {}  # state number -> its node one level down; empty below the last
     for level in reversed(list(_levels(graph, state, depth))):
-        nodes, kids, made = graph._nodes, graph._kids, {}
+        rows, kids, made = graph._by_number, graph._kids, {}
         for s in level:
-            node, kid = nodes[s], iter(kids[s])
+            (op, atoms, groups, label), kid = rows[s], iter(kids[s])
             groups = tuple((bound, tuple([below.get(next(kid), CUT) for _ in children]))
-                           for bound, children in node.groups)
-            made[s] = Node(node.op, node.atoms, groups, node.label)
+                           for bound, children in groups)
+            made[s] = Node(op, atoms, groups, label)
         below = made
     return below.get(graph._index[state], CUT)
 
@@ -458,14 +458,15 @@ def raw_bisim(g1, s1, g2, s2):
     ``|states1| * |states2|`` elements, so this terminates.
     """
     root = _check_pair(g1, s1, g2, s2)
-    nodes1, nodes2, kids1, kids2 = g1._nodes, g2._nodes, g1._kids, g2._kids
+    rows1, rows2, kids1, kids2 = g1._by_number, g2._by_number, g1._kids, g2._kids
 
     def expand(pair):
         a, b = pair
-        na, nb = nodes1[a], nodes2[b]
-        if na.op != nb.op or na.label != nb.label or na.atoms != nb.atoms:
+        op_a, atoms_a, groups_a, label_a = rows1[a]
+        op_b, atoms_b, groups_b, label_b = rows2[b]
+        if op_a != op_b or label_a != label_b or atoms_a != atoms_b:
             return None
-        for (bound_a, _), (bound_b, _) in zip(na.groups, nb.groups):
+        for (bound_a, _), (bound_b, _) in zip(groups_a, groups_b):
             if bound_a != bound_b:
                 return None
         return [(pair, pair) for pair in zip(kids1[a], kids2[b])]
@@ -497,11 +498,11 @@ def _alpha_table(graph):
         return by_atoms[key]
 
     table = []
-    for here, node, kids in zip(fv, graph._nodes, graph._kids):
+    for here, (op, atoms, groups, label), kids in zip(fv, graph._by_number, graph._kids):
         kid = iter(kids)
         picks = tuple([tuple([pick_from(here + bound, fv[next(kid)]) for _ in children])
-                       for bound, children in node.groups])
-        table.append((node.op, node.label, pick_from(here, node.atoms), picks))
+                       for bound, children in groups])
+        table.append((op, label, pick_from(here, atoms), picks))
     graph._alpha = table
     return table
 
@@ -518,17 +519,17 @@ def _alpha_search(g1, g2, i1, i2):
     from its parent's plus the right group's binders, through the left
     graph's compiled table, so the configurations are finitely many.
     """
-    table, kids1, nodes2, kids2 = _alpha_table(g1), g1._kids, g2._nodes, g2._kids
+    table, kids1, rows2, kids2 = _alpha_table(g1), g1._kids, g2._by_number, g2._kids
 
     def expand(config):
         sa, sb, vals = config
         op, label, atoms, groups = table[sa]
-        nb = nodes2[sb]
-        if op != nb.op or label != nb.label or atoms(vals) != nb.atoms:
+        op_b, atoms_b, groups_b, label_b = rows2[sb]
+        if op != op_b or label != label_b or atoms(vals) != atoms_b:
             return None
         out = []
         kids_a, kids_b = iter(kids1[sa]), iter(kids2[sb])  # zip draws on them while picks last
-        for picks, (bound_b, _) in zip(groups, nb.groups):
+        for picks, (bound_b, _) in zip(groups, groups_b):
             src = vals
             for b in bound_b:
                 if b in vals:  # a right binder captures what a left atom stood for
@@ -571,10 +572,10 @@ def _tree_graph(tree):
     """A finite tree as a compiled graph whose root is state 0.
 
     One breadth-first walk numbers each distinct subtree object, so shared
-    subtrees cost their number, not their paths, and the tree's own nodes
-    are the rows.  A leaf that is not a :class:`Node`, such as :data:`CUT`,
-    gets one childless row whose operation is the leaf itself, so it matches
-    only an equal leaf; ``_leaves`` holds the numbers of those rows.
+    subtrees cost their number, not their paths, and each row is the fields
+    of the tree's own node.  A leaf that is not a :class:`Node`, such as
+    :data:`CUT`, gets one childless row whose operation is the leaf itself, so
+    it matches only an equal leaf; ``_leaves`` holds the numbers of those rows.
     """
     number, nodes, kids, leaves = {id(tree): 0}, [tree], [], set()
     for s, t in enumerate(nodes):  # nodes grows as the walk meets new subtrees
@@ -588,7 +589,8 @@ def _tree_graph(tree):
                 if row[-1] == len(nodes):
                     nodes.append(c)
         kids.append(tuple(row))
-    return SimpleNamespace(_nodes=nodes, _kids=kids, _leaves=leaves, _fv=None, _alpha=None)
+    rows = list(map(Node._fields, nodes))
+    return SimpleNamespace(_by_number=rows, _kids=kids, _leaves=leaves, _fv=None, _alpha=None)
 
 
 def tree_alpha_eq(t1, t2):
@@ -598,11 +600,11 @@ def tree_alpha_eq(t1, t2):
     renaming of the left one's free atoms.  Two nodes match only if they
     have as many groups, each binding as many atoms over as many children."""
     g1, g2 = _tree_graph(t1), _tree_graph(t2)
-    nodes1, nodes2, leaves1, leaves2 = g1._nodes, g2._nodes, g1._leaves, g2._leaves
+    rows1, rows2, leaves1, leaves2 = g1._by_number, g2._by_number, g1._leaves, g2._leaves
     root, expand = _alpha_search(g1, g2, 0, 0)
 
     def shaped(config):  # hand-built trees are never validated; expand checks atoms
-        a, b = nodes1[config[0]].groups, nodes2[config[1]].groups
+        a, b = rows1[config[0]][2], rows2[config[1]][2]  # the groups
         if len(a) != len(b) or (config[0] in leaves1) != (config[1] in leaves2):
             return None
         for (bound_a, kids_a), (bound_b, kids_b) in zip(a, b):
@@ -785,12 +787,12 @@ def signature_from_jsonable(blob):
 def graph_to_jsonable(graph):
     sig = "lambda" if graph.signature == LAMBDA_SIG else signature_to_jsonable(graph.signature)
     states = {}
-    for name, node in graph.states.items():
-        entry = {"op": node.op, "atoms": list(node.atoms),
+    for name, (op, atoms, groups, label) in graph._rows.items():
+        entry = {"op": op, "atoms": list(atoms),
                  "groups": [{"bound_atoms": list(bound), "children": list(children)}
-                            for bound, children in node.groups]}
-        if node.label is not None:
-            entry["label"] = node.label
+                            for bound, children in groups]}
+        if label is not None:
+            entry["label"] = label
         states[name] = entry
     return {"sig": sig, "states": states}
 
@@ -805,11 +807,9 @@ def graph_from_jsonable(blob):
         signature = signature_from_jsonable(sig)
     if not isinstance(blob["states"], dict):
         raise ValueError("'states' must be an object")
-    states = {}
-    for name, entry in blob["states"].items():
-        # the fields are built canonical here, so the nodes skip coercion
-        states[name] = fill(
-            object.__new__(Node), entry["op"], tuple(entry["atoms"]),
-            tuple([(tuple(g["bound_atoms"]), tuple(g["children"])) for g in entry["groups"]]),
-            entry.get("label"))
-    return TermGraph(signature, states)
+    graph = TermGraph(signature, {})
+    graph._rows = {name: (  # the fields a Node would hold, with no Node built
+        entry["op"], tuple(entry["atoms"]),
+        tuple([(tuple(g["bound_atoms"]), tuple(g["children"])) for g in entry["groups"]]),
+        entry.get("label")) for name, entry in blob["states"].items()}
+    return graph

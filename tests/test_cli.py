@@ -5,6 +5,7 @@ import gc
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -14,10 +15,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nomfix
+from helpers import random_lambda_graph
 from nomfix import termgraph
 from nomfix.cli import main
 from nomfix.serialize import canonical_dumps
-from nomfix.termgraph import Node, graph_from_jsonable, graph_to_jsonable
+from nomfix.record import fill
+from nomfix.termgraph import (
+    LAMBDA_SIG,
+    Node,
+    TermGraph,
+    alpha_bisim,
+    free_atoms,
+    graph_from_jsonable,
+    graph_to_jsonable,
+    raw_bisim,
+    signature_from_jsonable,
+    validate,
+)
 
 LAM_BLOB = {
     "sig": "lambda",
@@ -372,7 +386,7 @@ def _field_paths(blob, path=()):
             yield from _field_paths(value, path + (i,))
 
 
-@pytest.mark.parametrize("args, blob, message", [
+MALFORMED_GRAPHS = [
     (["support", "G", "s"], dict(LAM_BLOB, states=[]), "'states' must be an object"),
     (["support", "G", "s"], _replaced(LAM_BLOB, ("states", "u", "op"), ["var"]),
      "unknown operation"),
@@ -412,13 +426,55 @@ def _field_paths(blob, path=()):
     # render_tree prints names and labels that parse_tree must read back
     (["unfold", "G", "r", "--depth", "2"], _replaced(LABELLED_BLOB, ("sig", "ops", 1, "name"),
                                                      "a b"), "operation name 'a b' is not"),
-])
+]
+
+
+@pytest.mark.parametrize("args, blob, message", MALFORMED_GRAPHS)
 def test_malformed_graph_exits_2(files, capsys, args, blob, message):
     g = files("bad.json", blob)
     assert main([g if arg == "G" else arg for arg in args]) == 2
     err = capsys.readouterr().err
     assert message in err
     assert err.endswith("\n") and err.count("\n") == 1
+
+
+def _built_from_nodes(blob):
+    """The graph of ``blob`` built by hand from :class:`Node` constructors."""
+    sig = LAMBDA_SIG if blob["sig"] == "lambda" else signature_from_jsonable(blob["sig"])
+    return TermGraph(sig, {
+        name: Node(e["op"], e["atoms"], [(g["bound_atoms"], g["children"]) for g in e["groups"]],
+                   e.get("label"))
+        for name, e in blob["states"].items()})
+
+
+def test_loader_and_node_constructors_build_the_same_graph():
+    # graph_from_jsonable builds rows straight from JSON; TermGraph(sig, nodes)
+    # takes them from Nodes.  Both must read the same to every operation.
+    rng = random.Random(18)
+    blobs = [graph_to_jsonable(random_lambda_graph(rng, 6, 3)[0]) for _ in range(200)]
+    loading = []
+    for _, blob, _ in MALFORMED_GRAPHS:
+        try:
+            graph_from_jsonable(blob)
+        except (KeyError, TypeError, ValueError):
+            continue
+        loading.append(blob)
+    assert len(loading) == 4
+    for blob in blobs + loading + [LAM_BLOB, LOOP_BLOB, LABELLED_BLOB]:
+        loaded, built = graph_from_jsonable(blob), _built_from_nodes(blob)
+        assert validate(loaded) == validate(built)
+        assert loaded.states == built.states and loaded == built
+        text = canonical_dumps(graph_to_jsonable(built))
+        assert canonical_dumps(graph_to_jsonable(loaded)) == text
+        if validate(loaded):
+            continue
+        names = list(blob["states"])
+        for s in names:
+            assert free_atoms(loaded, s) == free_atoms(built, s)
+            assert raw_bisim(loaded, s, built, s) and alpha_bisim(built, s, loaded, s)
+            for t in names:
+                assert raw_bisim(loaded, s, loaded, t) == raw_bisim(built, s, built, t)
+                assert alpha_bisim(loaded, s, loaded, t) == alpha_bisim(built, s, built, t)
 
 
 @pytest.mark.parametrize("blob, message", [
@@ -508,6 +564,33 @@ def test_deep_unfold_of_a_loop_is_refused_before_it_is_built(files, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "unfolding has more than the 1000000 nodes that unfold prints\n"
+
+
+def test_graph_commands_build_no_node_but_the_unfolding(files, capsys):
+    # a loaded graph is kept as rows and no command reads graph.states: only
+    # unfold builds nodes, one per state and level of the tree it prints
+    g1, g2, loop = (files("g1.json", LAM_BLOB), files("g2.json", RENAMED_BLOB),
+                    files("loop.json", LOOP_BLOB))
+    built = 0
+
+    def counting_fill(record, *values):
+        nonlocal built
+        built += isinstance(record, Node)
+        return fill(record, *values)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(termgraph, "fill", counting_fill)
+        assert main(["alpha-eq", g1, "s", g2, "s"]) == 0
+        assert main(["raw-eq", g1, "s", g2, "s"]) == 1
+        assert main(["support", loop, "t"]) == 0
+        # refused once a level as deep as the graph has states is reached
+        assert main(["unfold", g1, "s", "--depth", "10000000"]) == 2
+        assert built == 0
+        assert main(["unfold", g1, "s", "--depth", "3"]) == 0
+        assert built == 4  # s; b; u and s
+        # the counter does see the nodes that graph.states builds
+        assert len(graph_from_jsonable(LAM_BLOB).states) == 3 and built == 7
+    capsys.readouterr()
 
 
 def test_refused_unfolds_build_no_node(files, capsys, monkeypatch):

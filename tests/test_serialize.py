@@ -50,6 +50,22 @@ def test_unknown_encoding_rejected():
         value_from_jsonable({"mystery": 1})
     with pytest.raises(ValueError):
         value_to_jsonable({"not": "a value"})
+    # an encoding missing one of its keys is unrecognized, not a KeyError
+    for blob in ({"arity": 2}, {"a": 0, "d": 1}, {"binder": 0},
+                 {"a": 0, "d": 1, "keys": [], "arity": 1}):
+        with pytest.raises(ValueError, match="unrecognized value encoding"):
+            value_from_jsonable(blob)
+
+
+@pytest.mark.parametrize("value", [-1, (0, -3), (0, (-1,))])
+def test_negative_atoms_rejected(value):
+    # the value protocol refuses negative atoms, and so does each JSON direction
+    with pytest.raises(ValueError, match="atoms are nonnegative integers"):
+        act_value(make_perm([(0, 1)]), value)
+    with pytest.raises(ValueError, match="atoms are nonnegative integers"):
+        value_to_jsonable(value)
+    with pytest.raises(ValueError, match="atoms are nonnegative integers"):
+        value_from_jsonable(json.loads(json.dumps(value)))
 
 
 @pytest.mark.parametrize("value", [True, False, (1, True), (0, (False,))])
