@@ -37,6 +37,8 @@ def _load_json(path):
         raise CliError(f"{path}: {e.strerror}") from None
     except json.JSONDecodeError as e:
         raise CliError(f"{path}:{e.lineno}: {e.msg}") from None
+    except RecursionError:
+        raise CliError(f"{path}: nesting too deep") from None
     except ValueError as e:  # NaN or Infinity, or a file that is not UTF-8
         raise CliError(f"{path}: {e}") from None
 

@@ -202,27 +202,26 @@ def dfa_equiv(d1, d2):
     """
     t1, t2 = _compile(d1), _compile(d2)
 
-    # A child keeps its parent's word and its own letter apart: most
-    # children repeat a key and are dropped before that word is copied.
-    def expand(config):
-        o1, r1, o2, r2, word, letter = config
+    # A child is built only for a new key: most letters repeat a key.
+    def expand(config, seen, push):
+        o1, r1, o2, r2, word = config
         if (o1 in d1.accepting) != (o2 in d2.accepting):
             return None
-        word += letter
         rules1, rules2 = t1[o1], t2[o2]
         joint = set(r1).union(r2)
-        out = []
         for atom in sorted(joint) + [fresh(joint)]:
             p1, pick1 = rules1[r1.index(atom) if atom in r1 else -1]
             p2, pick2 = rules2[r2.index(atom) if atom in r2 else -1]
             q1, q2 = pick1(r1 + (atom,)), pick2(r2 + (atom,))
             key = (p1, p2, tuple([q1.index(a) if a in q1 else -1 for a in q2]))
-            out.append((key, (p1, q1, p2, q2, word, (atom,))))
-        return out
+            if key not in seen:
+                seen.add(key)
+                push.append((p1, q1, p2, q2, word + (atom,)))
+        return push
 
-    root = (d1.initial, (), d2.initial, (), (), ())
+    root = (d1.initial, (), d2.initial, (), ())
     bad = bfs(((d1.initial, d2.initial, ()), root), expand)[0]
-    return (True, None) if bad is None else (False, bad[4] + bad[5])
+    return (True, None) if bad is None else (False, bad[4])
 
 
 def dfa_brute_equiv(d1, d2, max_len, pool):

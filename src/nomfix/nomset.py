@@ -24,8 +24,12 @@ MAX_DEGREE = 8
 
 
 def _mulclose(degree: int, generators: Sequence[tuple[int, ...]]) -> frozenset[tuple[int, ...]]:
-    def expand(p):
-        return [(q, q) for q in (tuple(p[i] for i in g) for g in generators)]
+    def expand(p, seen, push):
+        for q in (tuple(p[i] for i in g) for g in generators):
+            if q not in seen:
+                seen.add(q)
+                push.append(q)
+        return push
 
     identity = tuple(range(degree))
     return frozenset(bfs((identity, identity), expand)[1])

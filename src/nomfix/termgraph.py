@@ -460,7 +460,7 @@ def raw_bisim(g1, s1, g2, s2):
     root = _check_pair(g1, s1, g2, s2)
     rows1, rows2, kids1, kids2 = g1._by_number, g2._by_number, g1._kids, g2._kids
 
-    def expand(pair):
+    def expand(pair, seen, push):
         a, b = pair
         op_a, atoms_a, groups_a, label_a = rows1[a]
         op_b, atoms_b, groups_b, label_b = rows2[b]
@@ -469,7 +469,11 @@ def raw_bisim(g1, s1, g2, s2):
         for (bound_a, _), (bound_b, _) in zip(groups_a, groups_b):
             if bound_a != bound_b:
                 return None
-        return [(pair, pair) for pair in zip(kids1[a], kids2[b])]
+        for child in zip(kids1[a], kids2[b]):
+            if child not in seen:
+                seen.add(child)
+                push.append(child)
+        return push
 
     return bfs((root, root), expand)[0] is None
 
@@ -521,13 +525,12 @@ def _alpha_search(g1, g2, i1, i2):
     """
     table, kids1, rows2, kids2 = _alpha_table(g1), g1._kids, g2._by_number, g2._kids
 
-    def expand(config):
+    def expand(config, seen, push):
         sa, sb, vals = config
         op, label, atoms, groups = table[sa]
         op_b, atoms_b, groups_b, label_b = rows2[sb]
         if op != op_b or label != label_b or atoms(vals) != atoms_b:
             return None
-        out = []
         kids_a, kids_b = iter(kids1[sa]), iter(kids2[sb])  # zip draws on them while picks last
         for picks, (bound_b, _) in zip(groups, groups_b):
             src = vals
@@ -538,8 +541,10 @@ def _alpha_search(g1, g2, i1, i2):
             src += bound_b
             for pick, ca, cb in zip(picks, kids_a, kids_b):
                 child = (ca, cb, pick(src))
-                out.append((child, child))
-        return out
+                if child not in seen:
+                    seen.add(child)
+                    push.append(child)
+        return push
 
     root = (i1, i2, _fv_table(g1)[i1])
     return (root, root), expand
@@ -603,14 +608,14 @@ def tree_alpha_eq(t1, t2):
     rows1, rows2, leaves1, leaves2 = g1._by_number, g2._by_number, g1._leaves, g2._leaves
     root, expand = _alpha_search(g1, g2, 0, 0)
 
-    def shaped(config):  # hand-built trees are never validated; expand checks atoms
+    def shaped(config, seen, push):  # hand-built trees are never validated; expand checks atoms
         a, b = rows1[config[0]][2], rows2[config[1]][2]  # the groups
         if len(a) != len(b) or (config[0] in leaves1) != (config[1] in leaves2):
             return None
         for (bound_a, kids_a), (bound_b, kids_b) in zip(a, b):
             if len(bound_a) != len(bound_b) or len(kids_a) != len(kids_b):
                 return None
-        return expand(config)
+        return expand(config, seen, push)
 
     return bfs(root, shaped)[0] is None
 

@@ -361,17 +361,18 @@ def match_alpha_search(g1, s1, g2, s2):
     fv2 = fv_oracle(g2)
     rho = tuple((a, a) for a in sorted(set(fv1[s1]).union(fv2[s2])))
 
-    def expand(config):
+    def expand(config, seen, push):
         sa, sb, items = config
         groups = _match_nodes(states1[sa], states2[sb], dict(items))
         if groups is None:
             return None
-        return [
-            (child, child)
-            for inner, kids_a, kids_b in groups
-            for ca, cb in zip(kids_a, kids_b)
-            for child in [(ca, cb, tuple((x, inner[x]) for x in fv1[ca] if x in inner))]
-        ]
+        for inner, kids_a, kids_b in groups:
+            for ca, cb in zip(kids_a, kids_b):
+                child = (ca, cb, tuple((x, inner[x]) for x in fv1[ca] if x in inner))
+                if child not in seen:
+                    seen.add(child)
+                    push.append(child)
+        return push
 
     root = (s1, s2, rho)
     return (root, root), expand

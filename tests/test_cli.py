@@ -523,6 +523,21 @@ def test_non_finite_json_number_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err == f"{path}: Infinity is not a JSON number\n"
 
 
+@pytest.mark.parametrize("command", [
+    ["alpha-eq", "F", "s", "F", "s"],
+    ["support", "F", "s"],
+    ["orbits", "F"],
+    ["dfa-equiv", "F", "F"],
+])
+def test_deeply_nested_json_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+    assert main([str(path) if arg == "F" else arg for arg in command]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{path}: nesting too deep\n"
+
+
 def test_deep_unfold_is_printed(files, capsys):
     blob = {"sig": "lambda", "states": {
         "s": {"op": "lam", "atoms": [],
