@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from .perm import FinPerm, apply_set, compose, fresh, is_atom, make_perm
 from .record import Record, fill
-from .values import act_value, support_value
+from .values import act_swap, act_value, support_value
 
 
 class Abstraction(Record):
@@ -27,7 +27,7 @@ class Abstraction(Record):
         free = support_value(body) - {binder}
         canonical = fresh(free)
         if canonical != binder:
-            body = act_value(make_perm([(binder, canonical)]), body)
+            body = act_swap(binder, canonical, body)
         fill(self, canonical, body)
 
     def apply_perm(self, f: FinPerm) -> "Abstraction":
@@ -51,8 +51,8 @@ def abstr(binder: int, body) -> Abstraction:
 
 def _eq_at(a1: Abstraction, a2: Abstraction, z: int) -> bool:
     # the class test at one specific fresh atom z; any fresh choice agrees
-    b1 = a1.body if z == a1.binder else act_value(make_perm([(a1.binder, z)]), a1.body)
-    b2 = a2.body if z == a2.binder else act_value(make_perm([(a2.binder, z)]), a2.body)
+    b1 = a1.body if z == a1.binder else act_swap(a1.binder, z, a1.body)
+    b2 = a2.body if z == a2.binder else act_swap(a2.binder, z, a2.body)
     return b1 == b2
 
 
@@ -69,8 +69,10 @@ def act_abstr(f: FinPerm, a: Abstraction) -> Abstraction:
 
 def concretize(a: Abstraction, w: int) -> object:
     """Instantiate the bound name as ``w``; ``w`` must avoid the support."""
+    if not is_atom(w):
+        raise ValueError("atoms are nonnegative integers")
     if w in a.support():
         raise ValueError("atom not fresh")
     if w == a.binder:
         return a.body
-    return act_value(make_perm([(a.binder, w)]), a.body)
+    return act_swap(a.binder, w, a.body)

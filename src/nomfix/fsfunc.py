@@ -32,16 +32,15 @@ from typing import Iterable, Mapping, Sequence
 
 from .nomset import is_strong, min_support
 from .perm import FinPerm, compose, fresh, is_atom, make_perm
-from .values import act_value, support_value
+from .values import act_swap, act_value, support_value
 
 
-def _raw_apply(a: int, d, keys: Sequence[int], vals: Sequence, b: int):
-    for k, x in zip(keys, vals):
-        if k == b:
-            return x
+def _raw_apply(a: int, d, keys: tuple[int, ...], vals: tuple, b: int):
+    if b in keys:
+        return vals[keys.index(b)]
     if a == b:
         return d
-    return act_value(make_perm([(a, b)]), d)
+    return act_swap(a, b, d)
 
 
 class FsFun:
@@ -96,7 +95,7 @@ class FsFun:
 
         supp = [u for u in sorted(cands)
                 if count[u] > (u in images[u])
-                or u in table and act_value(make_perm([(u, z1)]), at_z1) != table[u][0]]
+                or u in table and act_swap(u, z1, at_z1) != table[u][0]]
         self.keys = tuple(supp)
         self.values = tuple(map(at, supp))
         self.default_atom = fresh(supp)
@@ -196,13 +195,22 @@ def fill(v: Sequence[int], w: Sequence[int]) -> tuple[int, ...]:
     n = len(v)
     if n == 0:
         raise ValueError("fill needs at least one position")
-    w = tuple(w)
-    if len(w) != 2 * n or len(set(w)) != len(w):
-        raise ValueError("fill requires 2n distinct atoms")
-    spares = [b for b in w if b not in v]
-    out = (uniq(v) + tuple(spares))[:n]
+    out = _fill(v, _spares(n, w, v))
     assert len(set(out)) == n
     return out
+
+
+def _spares(n: int, w: Sequence[int], atoms: Sequence[int] = ()) -> tuple[int, ...]:
+    w = tuple(w)
+    if not all(map(is_atom, (*atoms, *w))):
+        raise ValueError("atoms are nonnegative integers")
+    if len(w) != 2 * n or len(set(w)) != len(w):
+        raise ValueError("fill requires 2n distinct atoms")
+    return w
+
+
+def _fill(v: Sequence[int], w: tuple[int, ...]) -> tuple[int, ...]:  # w from _spares
+    return (uniq(v) + tuple(b for b in w if b not in v))[:len(v)]
 
 
 def nesting_depth(value) -> int:
@@ -230,7 +238,9 @@ class DistinctFsFun:
         self.inner = inner
 
     def apply_perm(self, f: FinPerm) -> "DistinctFsFun":
-        return DistinctFsFun(self.arity, self.inner.apply_perm(f))
+        out = DistinctFsFun.__new__(DistinctFsFun)  # f keeps the nesting depth
+        out.arity, out.inner = self.arity, self.inner.apply_perm(f)
+        return out
 
     def support(self) -> frozenset[int]:
         return min_support(self, self.inner.support())
@@ -273,7 +283,8 @@ def _reader(f: DistinctFsFun):
     def read(v: tuple[int, ...]):
         out = memo.get(v)
         if out is None:
-            out = memo[v] = fs_apply(read(v[:-1]), v[-1])
+            g = read(v[:-1])
+            out = memo[v] = _raw_apply(g.default_atom, g.default_value, g.keys, g.values, v[-1])
         return out
 
     return read
@@ -298,15 +309,13 @@ def section(f: DistinctFsFun, w: Sequence[int]) -> FsFun:
     and extends it everywhere else.
     """
     n = f.arity
-    w = tuple(w)
-    if len(w) != 2 * n or len(set(w)) != len(w):
-        raise ValueError("fill requires 2n distinct atoms")
+    w = _spares(n, w)
     base = sorted(f.inner.support() | set(w))
     read = _reader(f)
 
     def build(prefix: tuple[int, ...]) -> object:
         if len(prefix) == n:
-            return read(fill(prefix, w))
+            return read(_fill(prefix, w))
         probe = sorted(set(base) | set(prefix))
         a = fresh(probe)
         table = {t: build(prefix + (t,)) for t in probe}

@@ -15,10 +15,10 @@ import itertools
 import math
 from typing import Iterable, Optional, Sequence
 
-from .perm import FinPerm, fresh, is_atom, make_perm
+from .perm import FinPerm, fresh, is_atom
 from .record import Record, fill
 from .search import bfs
-from .values import act_value
+from .values import act_swap
 
 MAX_DEGREE = 8
 
@@ -167,9 +167,10 @@ def min_support(value, candidates: Iterable[int]) -> frozenset[int]:
     candidates changes the value.
     """
     cands = frozenset(candidates)
+    if not all(map(is_atom, cands)):
+        raise ValueError("atoms are nonnegative integers")
     z = fresh(cands)
-    return frozenset(u for u in cands
-                     if act_value(make_perm([(u, z)]), value) != value)
+    return frozenset(u for u in cands if act_swap(u, z, value) != value)
 
 
 def same_orbit(e1: Element, e2: Element) -> Optional[FinPerm]:

@@ -100,9 +100,10 @@ def apply_set(f: FinPerm, atoms: Iterable[int]) -> frozenset[int]:
 
 
 def compose(f: FinPerm, g: FinPerm) -> FinPerm:
-    """The permutation acting as ``g`` first, then ``f``."""
-    carrier = f.moved() | g.moved()
-    return FinPerm({a: f(g(a)) for a in carrier})
+    """The permutation acting as ``g`` first, then ``f``, built without a re-check."""
+    out = FinPerm.__new__(FinPerm)
+    out._map = {a: b for a in f._map.keys() | g._map.keys() if (b := f(g(a))) != a}
+    return out
 
 
 def invert(f: FinPerm) -> FinPerm:

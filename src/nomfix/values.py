@@ -12,11 +12,13 @@ whose ``==`` is the extensional test ``distinct_fs_eq``.
 
 from __future__ import annotations
 
-from .perm import FinPerm
+from .perm import FinPerm, make_perm
 
 
 def act_value(f: FinPerm, value):
     """Apply a finite permutation to a value of any protocol type."""
+    if value.__class__ is int and value >= 0:
+        return f(value)
     if isinstance(value, bool):
         raise TypeError("booleans are not values")
     if isinstance(value, int):
@@ -26,6 +28,16 @@ def act_value(f: FinPerm, value):
     if isinstance(value, tuple):
         return tuple(act_value(f, v) for v in value)
     return value.apply_perm(f)
+
+
+def act_swap(x: int, y: int, value):
+    """``act_value(make_perm([(x, y)]), value)`` for distinct atoms x, y, unchecked;
+    an atom, or a tuple of them, is swapped without building the transposition."""
+    if value.__class__ is int and value >= 0:
+        return y if value == x else x if value == y else value
+    if value.__class__ is tuple:
+        return tuple([act_swap(x, y, v) for v in value])
+    return act_value(make_perm([(x, y)]), value)
 
 
 def support_value(value) -> frozenset[int]:

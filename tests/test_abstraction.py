@@ -155,6 +155,15 @@ def test_concretize_rejects_supported_atom():
         concretize(a, 1)
 
 
+@pytest.mark.parametrize("w", [False, True, -1, 2.0])
+def test_concretize_refuses_non_atoms_first(w):
+    # False == 0 is the binder and True == 1 is in the support, yet both
+    # are refused as non-atoms before either test
+    a = abstr(0, (0, 1))
+    with pytest.raises(ValueError, match="atoms are nonnegative integers"):
+        concretize(a, w)
+
+
 def test_abstraction_over_orbit_elements():
     fam = OrbitFiniteSet([OrbitDescriptor("pair", 2, CoordGroup(2))])
     e = Element(fam, "pair", (3, 1))

@@ -30,10 +30,11 @@ from nomfix.fsfunc import (
     strong_exponent_apply,
     uniq,
 )
-from nomfix.abstraction import Abstraction
+from nomfix import abstraction, fsfunc, nomset, perm, values
+from nomfix.abstraction import Abstraction, abstr_eq
 from nomfix.nomset import CoordGroup, Element, OrbitDescriptor, OrbitFiniteSet, min_support
 from nomfix.perm import FinPerm, apply_set, fresh, invert, make_perm
-from nomfix.values import act_value, support_value, value_eq
+from nomfix.values import act_swap, act_value, support_value, value_eq
 from helpers import probe_distinct_fs_eq, probe_section, rebuild_apply_perm, swap_test_fsfun
 from test_nomset import brute_min_support
 
@@ -196,6 +197,17 @@ def test_fill_requires_2n_distinct_and_positive_arity():
         fill((), ())
 
 
+@pytest.mark.parametrize("v,w", [
+    ((True, 1), (0, 1, 2, 3)),  # True == 1 would hide the bool and give (True, 0)
+    ((0, 1), (False, 2, 3, 4)),
+    ((-1, 1), (0, 2, 3, 4)),
+    ((0, 1), (2, 3, 4, 5.0)),
+])
+def test_fill_refuses_non_atoms(v, w):
+    with pytest.raises(ValueError, match="atoms are nonnegative integers"):
+        fill(v, w)
+
+
 def test_fill_output_is_distinct_and_extends_uniq():
     rng = random.Random(23)
     for _ in range(500):
@@ -289,6 +301,9 @@ def test_section_validates_arguments():
     f = restrict_distinct(rand_nested2(rng))
     with pytest.raises(ValueError, match="fill requires 2n distinct atoms"):
         section(f, (1, 2, 3))
+    for w in [(1, 2, 3, True), (1, 2, 3, -1), (1, 2, 3, 4.0)]:
+        with pytest.raises(ValueError, match="atoms are nonnegative integers"):
+            section(f, w)
 
 
 def test_distinct_fs_eq_ignores_behaviour_off_distinct_tuples():
@@ -315,6 +330,15 @@ def test_distinct_support_matches_brute_force():
     for f in cases:
         cands = f.inner.support()
         assert f.support() == brute_min_support(f, cands, eq=distinct_fs_eq)
+
+
+@pytest.mark.parametrize("candidates", [[1, -1], [True, 1], [1, 2.0]])
+@pytest.mark.parametrize("value", [FsFun(0, 0, [1], [2]), (1, 2)])
+def test_min_support_refuses_non_atom_candidates(candidates, value):
+    # a tuple of atoms is swapped without a permutation, so only the
+    # up-front check can refuse its candidates
+    with pytest.raises(ValueError, match="atoms are nonnegative integers"):
+        min_support(value, candidates)
 
 
 def strong_family():
@@ -514,3 +538,52 @@ def test_distinct_reads_match_probe_loop(arity, draws):
             assert verdict == probe_distinct_fs_eq(f, h) == distinct_fs_eq(h, f)
             verdicts.add(verdict)
     assert verdicts == {True, False}
+
+
+def outcome(act, *args):
+    """The value ``act`` returns, or the type and message of what it raises."""
+    try:
+        return act(*args)
+    except (TypeError, ValueError) as e:
+        return type(e), str(e)
+
+
+NON_ATOMS = st.sampled_from([True, False, -1, -3])
+SWAPS = st.tuples(ATOMS, ATOMS).filter(lambda t: t[0] != t[1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.recursive(st.one_of(VALUES, NON_ATOMS), lambda c: st.lists(c, max_size=3).map(tuple),
+                    max_leaves=8), SWAPS)
+def test_act_swap_matches_the_transposition(value, swap):
+    # a bool or a negative atom anywhere in the tuples raises alike
+    x, y = swap
+    assert outcome(act_swap, x, y, value) == outcome(act_value, make_perm([swap]), value)
+
+
+def test_swaps_on_atoms_build_no_permutation():
+    calls = 0
+
+    def counting_make_perm(transpositions):
+        nonlocal calls
+        calls += 1
+        return make_perm(transpositions)
+
+    rng = random.Random(67)
+    with pytest.MonkeyPatch.context() as m:
+        for module in (perm, values, abstraction, fsfunc, nomset):
+            if hasattr(module, "make_perm"):
+                m.setattr(module, "make_perm", counting_make_perm)
+        for _ in range(100):
+            body = tuple(rng.randrange(5) for _ in range(rng.randrange(4)))
+            a1, a2 = Abstraction(rng.randrange(5), body), Abstraction(rng.randrange(5), body)
+            abstr_eq(a1, a2)
+            f = FsFun(rng.randrange(5), rng.randrange(5), (1, 3), (rng.randrange(5), 4))
+            off_table = [b for b in range(8) if b not in f.keys and b != f.default_atom]
+            assert [fs_apply(f, b) for b in off_table]
+        assert calls == 0
+        # the counter does see a swap that acts through apply_perm
+        g = FsFun(0, Abstraction(0, (0, 1)), (), ())
+        calls = 0
+        fs_apply(g, 5)  # off the table: the default atom is 2
+        assert calls > 0

@@ -134,6 +134,19 @@ def test_compose_applies_right_factor_first():
     assert apply(compose(g, f), 1) == 0
 
 
+def test_compose_is_pointwise_and_stores_no_fixed_point():
+    rng = random.Random(13)
+    for _ in range(300):
+        (f, _), (g, _) = random_perm(rng, POOL), random_perm(rng, POOL)
+        h = compose(f, g)
+        assert [h(a) for a in range(10)] == [f(g(a)) for a in range(10)]
+        assert all(h(a) != a for a in h.moved())
+        assert h.moved() == {a for a in f.moved() | g.moved() if f(g(a)) != a}
+        identity = compose(f, invert(f))
+        assert identity == FinPerm({}) and identity.moved() == frozenset()
+        assert hash(identity) == hash(FinPerm({}))
+
+
 def test_invert():
     rng = random.Random(11)
     for _ in range(100):
