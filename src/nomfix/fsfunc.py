@@ -19,9 +19,9 @@ one in a single walk.
 Functions of several distinct atoms (curried, uniformly nested quadruples)
 support the gap-filling section construction: fill extends an arbitrary
 tuple to a distinct one using spare atoms, giving every function on distinct
-tuples a total extension that restricts back to it.  Section and equality
-read such a function through a memo of its partial applications, so each
-prefix of the argument tuples is applied once.
+tuples a total extension that restricts back to it.  As section(pi.f, pi.w) =
+pi.section(f, w), one stored section, moved, gives the support, the hash and the
+section at spares off the support; reads memoise partial applications.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from collections import Counter
 from typing import Iterable, Mapping, Sequence
 
 from .nomset import is_strong, min_support
-from .perm import FinPerm, compose, fresh, is_atom, make_perm
+from .perm import FinPerm, fresh, is_atom, perm_between
 from .values import act_swap, act_value, support_value
 
 
@@ -110,10 +110,8 @@ class FsFun:
         out.keys = tuple(k for k, _ in table)
         out.values = tuple(act_value(f, v) for _, v in table)
         out.default_atom = fresh(out.keys)
-        moved = f(self.default_atom)
-        if moved != out.default_atom:
-            f = compose(make_perm([(moved, out.default_atom)]), f)
-        out.default_value = act_value(f, self.default_value)
+        d, moved, a = act_value(f, self.default_value), f(self.default_atom), out.default_atom
+        out.default_value = d if moved == a else act_swap(moved, a, d)
         return out
 
     def support(self) -> frozenset[int]:
@@ -163,10 +161,7 @@ def fs_eq(f: FsFun, g: FsFun) -> bool:
 
 def fs_support(f: FsFun) -> frozenset[int]:
     """Recompute the minimal support by the swap test over stored atoms."""
-    cands = frozenset({f.default_atom}) | frozenset(f.keys) | support_value(f.default_value)
-    for v in f.values:
-        cands |= support_value(v)
-    return min_support(f, cands)
+    return min_support(f, support_value((f.default_atom, f.default_value, f.keys, f.values)))
 
 
 def uniq(v: Sequence[int]) -> tuple[int, ...]:
@@ -217,8 +212,7 @@ def nesting_depth(value) -> int:
     """Depth of uniformly nested quadruples: 0 for any non-function value."""
     if not isinstance(value, FsFun):
         return 0
-    depths = {nesting_depth(value.default_value)}
-    depths.update(nesting_depth(v) for v in value.values)
+    depths = {nesting_depth(v) for v in (value.default_value, *value.values)}
     if len(depths) != 1:
         raise ValueError("values must nest uniformly")
     return 1 + depths.pop()
@@ -227,23 +221,22 @@ def nesting_depth(value) -> int:
 class DistinctFsFun:
     """A nested function read only at pairwise distinct argument tuples."""
 
-    __slots__ = ("arity", "inner")
+    __slots__ = ("arity", "inner", "_slot")  # see _stored
 
     def __init__(self, arity: int, inner: FsFun):
         if isinstance(arity, bool) or not isinstance(arity, int) or arity < 1:
             raise ValueError("arity must be at least 1")
         if nesting_depth(inner) != arity:
             raise ValueError("inner nesting depth must equal the arity")
-        self.arity = arity
-        self.inner = inner
+        self.arity, self.inner, self._slot = arity, inner, None
 
     def apply_perm(self, f: FinPerm) -> "DistinctFsFun":
         out = DistinctFsFun.__new__(DistinctFsFun)  # f keeps the nesting depth
-        out.arity, out.inner = self.arity, self.inner.apply_perm(f)
+        out.arity, out.inner, out._slot = self.arity, self.inner.apply_perm(f), None
         return out
 
     def support(self) -> frozenset[int]:
-        return min_support(self, self.inner.support())
+        return _stored(self)[0]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DistinctFsFun):
@@ -251,8 +244,10 @@ class DistinctFsFun:
         return distinct_fs_eq(self, other)
 
     def __hash__(self) -> int:
-        # extensional equality admits differing inner forms, so hash coarsely
-        return hash(("DistinctFsFun", self.arity))
+        supp, w, g = _stored(self)  # at the least spares off supp(f), g depends on f alone
+        if w != (w0 := _least_outside(supp, len(w))):
+            self._slot = supp, w0, (g := g.apply_perm(perm_between(w, w0)))
+        return hash((self.arity, g))
 
     def __repr__(self) -> str:
         return f"DistinctFsFun(arity={self.arity}, {self.inner!r})"
@@ -294,9 +289,8 @@ def distinct_fs_eq(f: DistinctFsFun, g: DistinctFsFun) -> bool:
     """Equality of restrictions: compare on joint-support tuples plus spares."""
     if f.arity != g.arity:
         return False
-    probe = sorted(f.inner.support() | g.inner.support())
-    for _ in range(f.arity):
-        probe.append(fresh(probe))
+    s = f.inner.support() | g.inner.support()
+    probe = sorted(s) + list(_least_outside(s, f.arity))
     read_f, read_g = _reader(f), _reader(g)
     return all(read_f(v) == read_g(v) for v in itertools.permutations(probe, f.arity))
 
@@ -305,11 +299,38 @@ def section(f: DistinctFsFun, w: Sequence[int]) -> FsFun:
     """A total nested function restricting back to ``f``.
 
     Reads off distinct tuples are routed through ``fill`` with the spare
-    tuple ``w``, so the result agrees with ``f`` wherever ``f`` is defined
-    and extends it everywhere else.
+    tuple ``w``, so the result agrees with ``f`` wherever ``f`` is defined.
+    As section(pi.f, pi.w) = pi.section(f, w), a ``w`` outside the support of
+    ``f`` gets the stored section moved onto it:
+
+    >>> f = restrict_distinct(fs_from_table({}, (0, fs_from_table({}, (1, 1)))))  # (a, b) -> b
+    >>> g0 = section(f, range(4))
+    >>> section(f, range(5, 9)) == g0.apply_perm(perm_between(range(4), range(5, 9)))
+    True
     """
+    w = _spares(f.arity, w)
+    if f._slot is None:
+        return _stored(f, w)[2] if f.inner.support().isdisjoint(w) else _section(f, w)
+    supp, ws, g = f._slot
+    return g.apply_perm(perm_between(ws, w)) if supp.isdisjoint(w) else _section(f, w)
+
+
+def _stored(f: DistinctFsFun, w: tuple[int, ...] = ()):
+    """Fill once ``(supp(f), w, section(f, w))`` for spares ``w`` off the inner support (the
+    least by default); the section's support is supp(f) and, by equivariance, some of ``w``."""
+    if f._slot is None:
+        w = w or _least_outside(f.inner.support(), 2 * f.arity)
+        g = _section(f, w)
+        f._slot = frozenset(g.keys).difference(w), w, g
+    return f._slot
+
+
+def _least_outside(atoms, k: int) -> tuple[int, ...]:
+    return tuple([a for a in range(len(atoms) + k) if a not in atoms][:k])
+
+
+def _section(f: DistinctFsFun, w: tuple[int, ...]) -> FsFun:  # w from _spares
     n = f.arity
-    w = _spares(n, w)
     base = sorted(f.inner.support() | set(w))
     read = _reader(f)
 

@@ -15,7 +15,7 @@ import itertools
 import math
 from typing import Iterable, Optional, Sequence
 
-from .perm import FinPerm, fresh, is_atom
+from .perm import FinPerm, fresh, is_atom, perm_between
 from .record import Record, fill
 from .search import bfs
 from .values import act_swap
@@ -179,11 +179,7 @@ def same_orbit(e1: Element, e2: Element) -> Optional[FinPerm]:
         raise ValueError("set mismatch")
     if e1.orbit != e2.orbit:
         return None
-    mapping = dict(zip(e1.registers, e2.registers))
-    sources, targets = set(e1.registers), set(e2.registers)
-    for a, b in zip(sorted(targets - sources), sorted(sources - targets)):
-        mapping[a] = b
-    return FinPerm(mapping)
+    return perm_between(e1.registers, e2.registers)
 
 
 def is_strong(s: OrbitFiniteSet) -> bool:

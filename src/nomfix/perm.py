@@ -106,6 +106,14 @@ def compose(f: FinPerm, g: FinPerm) -> FinPerm:
     return out
 
 
+def perm_between(src: Iterable[int], dst: Iterable[int]) -> FinPerm:
+    """Take src[i] to dst[i] (distinct atoms), dst - src to src - dst in order; fix the rest."""
+    mapping = dict(zip(src, dst))
+    sources, targets = set(mapping), set(mapping.values())
+    mapping.update(zip(sorted(targets - sources), sorted(sources - targets)))
+    return FinPerm(mapping)
+
+
 def invert(f: FinPerm) -> FinPerm:
     return FinPerm({b: a for a, b in f._map.items()})
 

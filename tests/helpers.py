@@ -171,6 +171,16 @@ def probe_distinct_fs_eq(f, g):
                for v in itertools.permutations(probe, f.arity))
 
 
+def probe_distinct_support(f):
+    """Reference for ``DistinctFsFun.support``: the single-swap test of
+    ``min_support`` over the inner function's support, each swap compared
+    with ``probe_distinct_fs_eq``."""
+    cands = f.inner.support()
+    z = fresh(cands)
+    return frozenset(u for u in cands
+                     if not probe_distinct_fs_eq(act_value(make_perm([(u, z)]), f), f))
+
+
 def probe_section(f, w):
     """Reference for ``section``: every leaf read through ``distinct_apply``
     at the ``fill`` of its prefix."""

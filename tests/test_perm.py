@@ -20,6 +20,7 @@ from nomfix.perm import (
     invert,
     is_atom,
     make_perm,
+    perm_between,
     perm_from_pairs,
     perm_to_pairs,
     restrict,
@@ -238,3 +239,13 @@ def test_serialization_roundtrip_and_order():
         perm_from_pairs([[0, 1]])
     with pytest.raises(ValueError, match="duplicate source atom 0"):
         perm_from_pairs([[0, 1], [0, 2], [1, 0]])
+
+
+def test_perm_between_maps_the_tuples_and_fixes_the_rest():
+    rng = random.Random(99)
+    for _ in range(200):
+        k = rng.randrange(6)
+        src, dst = rng.sample(range(10), k), rng.sample(range(10), k)
+        pi = perm_between(src, dst)
+        assert [pi(a) for a in src] == dst
+        assert pi.moved() <= set(src) | set(dst)
