@@ -309,9 +309,9 @@ def section(f: DistinctFsFun, w: Sequence[int]) -> FsFun:
     True
     """
     w = _spares(f.arity, w)
-    if f._slot is None:
-        return _stored(f, w)[2] if f.inner.support().isdisjoint(w) else _section(f, w)
-    supp, ws, g = f._slot
+    if f._slot is None and f.inner.support().isdisjoint(w):
+        return _stored(f, w)[2]
+    supp, ws, g = _stored(f)  # filled here too, so later spares off supp(f) reuse it
     return g.apply_perm(perm_between(ws, w)) if supp.isdisjoint(w) else _section(f, w)
 
 

@@ -15,8 +15,10 @@ finitely many equality patterns.  It steps plain ``(orbit, registers)``
 tuples through rules compiled once per call and keys a pair by where each
 register of one machine sits among the other's, which fixes the pair up to
 renaming because registers are pairwise distinct; :func:`nomfix.search.bfs`
-runs the search.  :func:`dfa_brute_equiv` is the naive word-by-word
-comparison on ``Element`` states that checks it.
+runs the search.  It skips pairs of two orbits that accept nothing, which
+the orbit graph shows, since every case of an orbit is enabled in each of
+its states: both sides reject every word.  :func:`dfa_brute_equiv` is the
+naive word-by-word comparison on ``Element`` states that checks it.
 """
 
 import itertools
@@ -186,6 +188,17 @@ def _compile(dfa):
     return table
 
 
+def _dead(dfa, table):
+    """The orbits reaching no accepting orbit through ``table``: as every case
+    of an orbit is enabled in each of its states, exactly those whose states
+    all accept the empty language."""
+    live, grown = set(), set(dfa.accepting)
+    while grown:
+        live |= grown
+        grown = {o for o, rows in table.items() if o not in live and any(p in live for p, _ in rows)}
+    return table.keys() - live
+
+
 def dfa_equiv(d1, d2):
     """Decide whether two automata accept the same language.
 
@@ -198,9 +211,13 @@ def dfa_equiv(d1, d2):
     register of the second machine, the position of the equal register of
     the first (or ``-1``).  Each machine's registers are pairwise distinct,
     so two pairs get the same key exactly when a permutation maps one onto
-    the other, and then they accept the same words up to renaming.
+    the other, and then they accept the same words up to renaming.  A pair
+    whose orbits both accept nothing (see :func:`_dead`) is not explored:
+    it never disagrees and leads only to such pairs, so the order of every
+    other pair, the verdict and the word are unchanged.
     """
     t1, t2 = _compile(d1), _compile(d2)
+    dead1, dead2 = _dead(d1, t1), _dead(d2, t2)
 
     # A child is built only for a new key: most letters repeat a key.
     def expand(config, seen, push):
@@ -212,6 +229,8 @@ def dfa_equiv(d1, d2):
         for atom in sorted(joint) + [fresh(joint)]:
             p1, pick1 = rules1[r1.index(atom) if atom in r1 else -1]
             p2, pick2 = rules2[r2.index(atom) if atom in r2 else -1]
+            if p1 in dead1 and p2 in dead2:
+                continue
             q1, q2 = pick1(r1 + (atom,)), pick2(r2 + (atom,))
             key = (p1, p2, tuple([q1.index(a) if a in q1 else -1 for a in q2]))
             if key not in seen:

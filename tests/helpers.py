@@ -340,6 +340,35 @@ def element_dfa_equiv(d1, d2):
     return True, None
 
 
+def empty_orbits(dfa):
+    """Reference for the dead orbits of :mod:`nomfix.nomauto`: the orbits
+    whose state with registers ``0 .. k-1`` accepts no word.  Each search
+    steps :class:`~nomfix.nomset.Element` states through ``dfa_step`` on
+    every register and the least fresh atom, which reaches every orbit some
+    word reaches; registers then stay below the largest degree plus one, so
+    the concrete states are finitely many.
+    """
+    from nomfix.nomauto import dfa_step
+    from nomfix.nomset import Element
+
+    empty = set()
+    for orbit in dfa.family.orbits:
+        start = Element(dfa.family, orbit.name, tuple(range(orbit.degree)))
+        seen, stack = {start}, [start]
+        while stack:
+            state = stack.pop()
+            if state.orbit in dfa.accepting:
+                break
+            for atom in state.registers + (fresh(state.registers),):
+                child = dfa_step(dfa, state, atom)
+                if child not in seen:
+                    seen.add(child)
+                    stack.append(child)
+        else:
+            empty.add(orbit.name)
+    return empty
+
+
 def _match_nodes(na, nb, rho):
     """Match two nodes up to ``rho``, the renaming of the free atoms in scope:
     ``None`` if their operations, labels or atoms disagree, else one

@@ -6,6 +6,7 @@ atom pool, which is exhaustive for refutation because register contents
 only ever come from past inputs.
 """
 
+import collections
 import json
 import random
 
@@ -27,8 +28,9 @@ from nomfix.nomauto import (
     dfa_to_jsonable,
 )
 from nomfix.perm import apply, make_perm
+from nomfix.search import bfs
 
-from helpers import element_dfa_equiv, random_dfa
+from helpers import element_dfa_equiv, empty_orbits, random_dfa
 
 
 def l1_dfa():
@@ -335,6 +337,14 @@ def flipped_copy(dfa, rng):
     return NomDFA(degrees, dfa.initial, dfa.accepting ^ {flip}, dfa.delta)
 
 
+def thinned(dfa, rng, keep):
+    """The machine keeping each accepting orbit with probability ``keep``,
+    so that some orbits reach no accepting orbit."""
+    degrees = {o.name: o.degree for o in dfa.family.orbits}
+    accepting = {o for o in sorted(dfa.accepting) if rng.random() < keep}
+    return NomDFA(degrees, dfa.initial, accepting, dfa.delta)
+
+
 def rewired_copy(dfa, rng):
     """The machine with one rule of a reachable orbit redrawn at random,
     so the two differ only after some letter equals, or avoids, the
@@ -464,3 +474,62 @@ def test_equiv_search_builds_no_elements():
         # the wrapper does see the Element path
         assert element_dfa_equiv(d1, d2) == (True, None)
     assert built > 0
+
+
+def test_dead_orbits_are_the_orbits_that_accept_nothing():
+    rng = random.Random(59)
+    counts = collections.Counter()
+    for i in range(300):
+        d = random_dfa(rng, 6, 3, chain=i % 2 == 0)
+        d = thinned(d, rng, rng.random())
+        dead = nomauto._dead(d, nomauto._compile(d))
+        assert dead == empty_orbits(d)
+        counts[min(len(dead), 1) + (dead == d.delta.keys())] += 1
+    # machines with no orbit dead, some but not all, and every orbit
+    assert len(counts) == 3 and min(counts.values()) > 25
+
+
+def test_equiv_is_exact_when_orbits_accept_nothing():
+    # thinned acceptance leaves dead orbits in one machine, both or neither;
+    # pairs of two dead orbits are not explored, which must change no
+    # verdict and no counterexample
+    rng = random.Random(61)
+    kinds = collections.Counter()
+    verdicts = collections.Counter()
+    for i in range(300):
+        chain = i % 2 == 0
+        sizes = (5, 4) if chain else (rng.randint(1, 5), rng.randint(0, 4))
+        d1 = random_dfa(rng, *sizes, chain)
+        d2 = random_dfa(rng, *sizes, chain) if i % 3 else renamed_copy(rewired_copy(d1, rng), rng)
+        d1, d2 = thinned(d1, rng, rng.random()), thinned(d2, rng, rng.random())
+        kinds[bool(empty_orbits(d1)), bool(empty_orbits(d2))] += 1
+        answer = dfa_equiv(d1, d2)
+        assert answer == element_dfa_equiv(d1, d2)
+        assert dfa_equiv(d2, d1) == element_dfa_equiv(d2, d1)
+        verdicts[answer[0]] += 1
+    assert len(kinds) == 4 and min(kinds.values()) > 30
+    assert min(verdicts.values()) > 50
+
+
+def test_machines_accepting_nothing_expand_only_the_root(monkeypatch):
+    expanded = []
+
+    def counting_bfs(root, expand, depth=None):
+        def counted(config, seen, push):
+            expanded.append(config)
+            return expand(config, seen, push)
+
+        return bfs(root, counted, depth)
+
+    monkeypatch.setattr(nomauto, "bfs", counting_bfs)
+    rng = random.Random(67)
+    for _ in range(50):
+        d1 = thinned(random_dfa(rng, 5, 4, chain=True), rng, 0)
+        d2 = thinned(random_dfa(rng, 5, 4, chain=True), rng, 0)
+        expanded.clear()
+        assert dfa_equiv(d1, d2) == (True, None)
+        assert expanded == [(d1.initial, (), d2.initial, (), ())]
+    # one live side is searched as before
+    expanded.clear()
+    assert dfa_equiv(reject_all_dfa(), l1_dfa()) == (False, (0, 0))
+    assert len(expanded) > 1

@@ -13,6 +13,7 @@ import random
 
 import pytest
 
+from nomfix import fsfunc
 from nomfix.fsfunc import distinct_fs_eq, restrict_distinct, section
 from nomfix.perm import make_perm
 from nomfix.values import act_value
@@ -101,3 +102,29 @@ def test_distinct_restrictions_hash_apart():
         for w in ((6, 7, 8, 9), (9, 0, 1, 5)):
             assert hash(restrict_distinct(section(f, w))) == hash(f)
 
+
+def test_spares_meeting_only_the_inner_support_rebuild_once(monkeypatch):
+    # a section restricted back carries some of its spares in its inner
+    # support but not in its restriction's, so spares holding one of those
+    # and missing supp(f) are served from the slot that the first such call fills
+    builds = []
+    build = fsfunc._section
+    monkeypatch.setattr(fsfunc, "_section", lambda f, w: builds.append(w) or build(f, w))
+    rng = random.Random(103)
+    done = 0
+    while done < 20:
+        f = restrict_distinct(section(restrict_distinct(rand_nested(rng, 2, pool=4)), (6, 7, 8, 9)))
+        supp = probe_distinct_support(f)
+        extra = sorted(f.inner.support() - supp)
+        if not extra or not supp:
+            continue
+        done += 1
+        w = (extra[0], 13, 14, 15)
+        builds.clear()
+        assert section(f, w) == section(f, w) == section(f, w) == probe_section(f, w)
+        assert len(builds) == 1 and f.support() == supp
+        # spares meeting supp(f) rebuild, once a call now that the slot is filled
+        u = (min(supp), 16, 17, 18)
+        builds.clear()
+        assert section(f, u) == section(f, u) == probe_section(f, u)
+        assert builds == [u, u]
