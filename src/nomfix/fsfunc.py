@@ -124,7 +124,7 @@ class FsFun:
                 == (other.default_atom, other.keys, other.default_value, other.values))
 
     def __hash__(self) -> int:
-        return hash((self.default_atom, self.keys))
+        return hash((self.default_atom, self.keys, self.default_value, self.values))
 
     def __repr__(self) -> str:
         table = ", ".join(f"{k}->{v!r}" for k, v in zip(self.keys, self.values))

@@ -12,7 +12,8 @@ Because the only test a machine can perform is equality against stored
 atoms, language equivalence is decidable: :func:`dfa_equiv` explores pairs
 of concrete states but deduplicates them up to renaming, which leaves
 finitely many equality patterns.  It steps plain ``(orbit, registers)``
-tuples through rules compiled once per call and keys a pair by where each
+tuples through rules compiled once per machine, on its first comparison
+(a machine is read-only after construction), and keys a pair by where each
 register of one machine sits among the other's, which fixes the pair up to
 renaming because registers are pairwise distinct; :func:`nomfix.search.bfs`
 runs the search.  It skips pairs of two orbits that accept nothing, which
@@ -77,7 +78,8 @@ class NomDFA:
     trivial.  The initial orbit must have no registers, so the automaton
     starts with nothing remembered.  Construction validates the whole
     transition table; the rules guarantee every reachable register tuple
-    stays pairwise distinct.
+    stays pairwise distinct.  A machine is read-only after construction,
+    so :func:`dfa_equiv` compiles it once, on first use, and keeps that.
     """
 
     def __init__(self, orbits, initial, accepting, delta):
@@ -119,6 +121,7 @@ class NomDFA:
         self.initial = initial
         self.accepting = accepting
         self.delta = dict(delta)
+        self._compiled = None  # (rules table, dead orbits), built by the first dfa_equiv
 
 
 def _check_expr(family, source, degree, expr, equal_index):
@@ -176,14 +179,15 @@ def dfa_accepts(dfa, word):
 def _compile(dfa):
     """Each orbit's rules as a tuple of ``(target orbit, picker)`` entries,
     one per equal case and then the fresh case, so index ``-1`` is fresh.
-    A picker maps ``registers + (letter,)`` to the target's registers."""
-    table = {}
+    A picker maps ``registers + (letter,)`` to the target's registers;
+    equal index tuples share one picker."""
+    table, by_index = {}, {}  # by_index: index tuple -> picker
     for name, rules in dfa.delta.items():
         degree = dfa.family.orbit(name).degree
         entries = []
         for expr in rules.equal_cases + (rules.fresh_case,):
-            idx = [degree if s == INPUT else s for s in expr.sources]
-            entries.append((expr.orbit, picker(idx)))
+            idx = tuple([degree if s == INPUT else s for s in expr.sources])
+            entries.append((expr.orbit, by_index.setdefault(idx, picker(idx))))
         table[name] = tuple(entries)
     return table
 
@@ -214,10 +218,13 @@ def dfa_equiv(d1, d2):
     the other, and then they accept the same words up to renaming.  A pair
     whose orbits both accept nothing (see :func:`_dead`) is not explored:
     it never disagrees and leads only to such pairs, so the order of every
-    other pair, the verdict and the word are unchanged.
+    other pair, the verdict and the word are unchanged.  Machines are
+    read-only, so each is compiled once, on first use, and kept on it.
     """
-    t1, t2 = _compile(d1), _compile(d2)
-    dead1, dead2 = _dead(d1, t1), _dead(d2, t2)
+    for d in (d1, d2):
+        if d._compiled is None:
+            d._compiled = (table := _compile(d)), _dead(d, table)
+    (t1, dead1), (t2, dead2) = d1._compiled, d2._compiled
 
     # A child is built only for a new key: most letters repeat a key.
     def expand(config, seen, push):

@@ -523,6 +523,19 @@ def mutate_one_entry(rng, h, depth, pool=3):
     return FsFun(h.default_atom, h.default_value, h.keys, h.values[:i] + (new,) + h.values[i + 1:])
 
 
+def test_unequal_functions_rarely_share_a_hash():
+    # a distinct-tuple function hashes its stored section, so an FsFun hash
+    # over its support alone would give only a handful of hashes here
+    rng = random.Random(4711)
+    drawn = []
+    while len(drawn) < 200:
+        f = restrict_distinct(rand_nested(rng, 2, 4))
+        if f not in drawn:
+            drawn.append(f)
+    assert len({hash(f) for f in drawn}) >= 190
+    assert len({hash(f.inner) for f in drawn}) >= 190
+
+
 @pytest.mark.parametrize("arity,draws", [(1, 150), (2, 60), (3, 8)])
 def test_distinct_reads_match_probe_loop(arity, draws):
     rng = random.Random(61 + arity)

@@ -7,7 +7,9 @@ only ever come from past inputs.
 """
 
 import collections
+import copy
 import json
+import pickle
 import random
 
 import pytest
@@ -533,3 +535,50 @@ def test_machines_accepting_nothing_expand_only_the_root(monkeypatch):
     expanded.clear()
     assert dfa_equiv(reject_all_dfa(), l1_dfa()) == (False, (0, 0))
     assert len(expanded) > 1
+
+
+def test_each_machine_compiles_once(monkeypatch):
+    compiled, compile_rules = [], nomauto._compile
+
+    def counting_compile(dfa):
+        compiled.append(dfa)
+        return compile_rules(dfa)
+
+    monkeypatch.setattr(nomauto, "_compile", counting_compile)
+    rng = random.Random(71)
+    machines = []
+    for i in range(50):
+        d1 = random_dfa(rng, 5, 3, chain=i % 2 == 0)
+        d2 = random_dfa(rng, 5, 3, chain=i % 2 == 0) if i % 2 else renamed_copy(d1, rng)
+        machines += [d1, d2]
+        for _ in range(3):
+            assert dfa_equiv(d1, d2) == element_dfa_equiv(d1, d2)
+            assert dfa_equiv(d2, d1) == element_dfa_equiv(d2, d1)
+    assert len(compiled) == 100 and all(c is m for c, m in zip(compiled, machines))
+    # a machine loaded from the same JSON is a new machine with its own table
+    compiled.clear()
+    back = dfa_from_jsonable(dfa_to_jsonable(machines[0]))
+    assert dfa_equiv(back, machines[0]) == (True, None)
+    assert dfa_equiv(machines[0], back) == (True, None)
+    assert compiled == [back]
+
+
+def test_warm_answers_equal_cold_answers():
+    rng = random.Random(73)
+    verdicts = collections.Counter()
+    for i in range(120):
+        chain = i % 2 == 0
+        sizes = (5, 4) if chain else (rng.randint(1, 5), rng.randint(0, 4))
+        d1 = random_dfa(rng, *sizes, chain)
+        d2 = random_dfa(rng, *sizes, chain) if i % 3 else renamed_copy(rewired_copy(d1, rng), rng)
+        d1, d2 = thinned(d1, rng, rng.random()), thinned(d2, rng, rng.random())
+        want = element_dfa_equiv(d1, d2)
+        assert dfa_equiv(d1, d2) == want  # cold
+        assert dfa_equiv(d1, d2) == want  # warm
+        assert dfa_equiv(d2, d1) == element_dfa_equiv(d2, d1)
+        # copies carry the filled table along and answer alike
+        c1, c2 = copy.deepcopy(d1), pickle.loads(pickle.dumps(d2))
+        assert c1._compiled is not None and c2._compiled is not None
+        assert dfa_equiv(c1, c2) == dfa_equiv(d1, c2) == dfa_equiv(c1, d2) == want
+        verdicts[want[0]] += 1
+    assert min(verdicts.values()) > 20
