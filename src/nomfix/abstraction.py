@@ -13,7 +13,9 @@ immutable records: ``==`` and hashing go by the stored binder and body.
 
 from __future__ import annotations
 
-from .perm import FinPerm, apply_set, compose, fresh, is_atom, make_perm
+from functools import partial
+
+from .perm import FinPerm, fresh, is_atom
 from .record import Record, fill
 from .values import act_swap, act_value, support_value
 
@@ -31,14 +33,19 @@ class Abstraction(Record):
         fill(self, canonical, body)
 
     def apply_perm(self, f: FinPerm) -> "Abstraction":
+        return self._moved(partial(act_value, f))
+
+    def _swap(self, x: int, y: int) -> "Abstraction":
+        return self._moved(partial(act_swap, x, y))
+
+    def _moved(self, f) -> "Abstraction":  # f acts on values
         # By equivariance the image's support is f(support()), so its binder
         # b' is the least atom outside that set, and its body is f.body with
         # f(binder) renamed to b'.
-        binder = fresh(apply_set(f, self.support()))
-        moved = f(self.binder)
+        binder, moved, body = fresh(map(f, self.support())), f(self.binder), f(self.body)
         if moved != binder:
-            f = compose(make_perm([(moved, binder)]), f)
-        return fill(Abstraction.__new__(Abstraction), binder, act_value(f, self.body))
+            body = act_swap(moved, binder, body)
+        return fill(Abstraction.__new__(Abstraction), binder, body)
 
     def support(self) -> frozenset[int]:
         return support_value(self.body) - {self.binder}

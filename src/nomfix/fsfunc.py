@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
+from functools import partial
 from typing import Iterable, Mapping, Sequence
 
 from .nomset import is_strong, min_support
@@ -102,15 +103,21 @@ class FsFun:
         self.default_value = at(self.default_atom)
 
     def apply_perm(self, f: FinPerm) -> "FsFun":
+        return self._moved(partial(act_value, f))
+
+    def _swap(self, x: int, y: int) -> "FsFun":
+        return self._moved(partial(act_swap, x, y))
+
+    def _moved(self, f) -> "FsFun":  # f acts on values
         # By equivariance the image is supported by f(keys) and maps f(k) to
         # f.v.  It maps f(a) to f.d, and the new default atom a' to
         # (f(a) a').f.d, since neither f(a) nor a' is in its support.
-        table = sorted(zip(map(f, self.keys), self.values), key=lambda kv: kv[0])
+        table = dict(zip(map(f, self.keys), self.values))
         out = FsFun.__new__(FsFun)
-        out.keys = tuple(k for k, _ in table)
-        out.values = tuple(act_value(f, v) for _, v in table)
+        out.keys = keys = tuple(sorted(table))
+        out.values = tuple([f(table[k]) for k in keys])
         out.default_atom = fresh(out.keys)
-        d, moved, a = act_value(f, self.default_value), f(self.default_atom), out.default_atom
+        d, moved, a = f(self.default_value), f(self.default_atom), out.default_atom
         out.default_value = d if moved == a else act_swap(moved, a, d)
         return out
 
@@ -231,9 +238,10 @@ class DistinctFsFun:
         self.arity, self.inner, self._slot = arity, inner, None
 
     def apply_perm(self, f: FinPerm) -> "DistinctFsFun":
-        out = DistinctFsFun.__new__(DistinctFsFun)  # f keeps the nesting depth
-        out.arity, out.inner, out._slot = self.arity, self.inner.apply_perm(f), None
-        return out
+        return _restriction(self.arity, self.inner.apply_perm(f))  # f keeps the nesting depth
+
+    def _swap(self, x: int, y: int) -> "DistinctFsFun":
+        return _restriction(self.arity, self.inner._swap(x, y))
 
     def support(self) -> frozenset[int]:
         return _stored(self)[0]
@@ -255,7 +263,17 @@ class DistinctFsFun:
 
 def restrict_distinct(g: FsFun) -> DistinctFsFun:
     """Forget the values of a nested function off the distinct tuples."""
-    return DistinctFsFun(nesting_depth(g), g)
+    arity = nesting_depth(g)  # DistinctFsFun(arity, g) would walk g a second time
+    if arity < 1:
+        raise ValueError("arity must be at least 1")
+    return _restriction(arity, g)
+
+
+def _restriction(arity: int, inner: FsFun) -> DistinctFsFun:
+    """``DistinctFsFun(arity, inner)`` for an ``inner`` known to nest ``arity`` deep."""
+    out = DistinctFsFun.__new__(DistinctFsFun)
+    out.arity, out.inner, out._slot = arity, inner, None
+    return out
 
 
 def distinct_apply(f: DistinctFsFun, atoms: Sequence[int]):

@@ -133,6 +133,11 @@ class Element(Record):
     def apply_perm(self, f: FinPerm) -> "Element":
         return Element(self.family, self.orbit, tuple(f(a) for a in self.registers))
 
+    def _swap(self, x: int, y: int) -> "Element":  # the registers stay distinct atoms
+        symmetry = self.family.orbit(self.orbit).symmetry
+        return fill(Element.__new__(Element), self.family, self.orbit,
+                    _canonical_coset(symmetry, act_swap(x, y, self.registers)))
+
     def support(self) -> frozenset[int]:
         return frozenset(self.registers)
 

@@ -108,8 +108,11 @@ def compose(f: FinPerm, g: FinPerm) -> FinPerm:
 
 def perm_between(src: Iterable[int], dst: Iterable[int]) -> FinPerm:
     """Take src[i] to dst[i] (distinct atoms), dst - src to src - dst in order; fix the rest."""
+    src, dst = tuple(src), tuple(dst)
     mapping = dict(zip(src, dst))
     sources, targets = set(mapping), set(mapping.values())
+    if not len(src) == len(dst) == len(sources) == len(targets):
+        raise ValueError("perm_between needs two equally long tuples of distinct atoms")
     mapping.update(zip(sorted(targets - sources), sorted(sources - targets)))
     return FinPerm(mapping)
 

@@ -31,12 +31,14 @@ def act_value(f: FinPerm, value):
 
 
 def act_swap(x: int, y: int, value):
-    """``act_value(make_perm([(x, y)]), value)`` for distinct atoms x, y, unchecked;
-    an atom, or a tuple of them, is swapped without building the transposition."""
+    """``act_value(make_perm([(x, y)]), value)`` for distinct atoms x, y, unchecked; atoms,
+    tuples and nomfix values (by their private ``_swap``) swap without building it."""
     if value.__class__ is int and value >= 0:
         return y if value == x else x if value == y else value
     if value.__class__ is tuple:
         return tuple([act_swap(x, y, v) for v in value])
+    if (swap := getattr(value.__class__, "_swap", None)) is not None:
+        return swap(value, x, y)
     return act_value(make_perm([(x, y)]), value)
 
 

@@ -10,6 +10,8 @@ choice.
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nomfix.abstraction import (
     Abstraction,
@@ -22,6 +24,7 @@ from nomfix.abstraction import (
 from nomfix.nomset import CoordGroup, Element, OrbitDescriptor, OrbitFiniteSet, min_support
 from nomfix.perm import fresh, make_perm
 from nomfix.values import act_value, support_value, value_eq
+from test_fsfunc import ATOMS, SWAPS, VALUES
 
 
 def test_binder_canonicalization_examples():
@@ -127,6 +130,13 @@ def test_act_abstr_is_equivariant_on_classes():
         f = make_perm([tuple(rng.sample(range(6), 2)) for _ in range(3)])
         a = abstr(v, body)
         assert act_abstr(f, a) == abstr(act_value(f, v), act_value(f, body))
+
+
+@settings(max_examples=200, deadline=None)
+@given(ATOMS, VALUES, st.lists(SWAPS, max_size=3))
+def test_action_on_abstractions_of_any_value_is_equivariant(v, body, swaps):
+    f = make_perm(swaps)
+    assert act_value(f, Abstraction(v, body)) == Abstraction(f(v), act_value(f, body))
 
 
 def test_support_drops_the_binder():

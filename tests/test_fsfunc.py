@@ -274,6 +274,23 @@ def test_distinct_fs_fun_rejects_bad_arity():
             DistinctFsFun(arity, inner)
 
 
+def test_restrict_distinct_walks_the_nesting_once():
+    g, seen = rand_nested2(random.Random(53)), []
+
+    def counting_depth(value):
+        seen.append(value)
+        return nesting_depth(value)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(fsfunc, "nesting_depth", counting_depth)  # recursive calls land here too
+        assert restrict_distinct(g).arity == 2
+    assert sum(value is g for value in seen) == 1
+    with pytest.raises(ValueError, match="arity must be at least 1"):
+        restrict_distinct(5)
+    with pytest.raises(ValueError, match="values must nest uniformly"):
+        restrict_distinct(fs_from_table({1: fs_from_table({}, (0, 0))}, (7, 0)))
+
+
 def test_section_roundtrip_arity_two():
     rng = random.Random(41)
     for _ in range(60):
@@ -568,10 +585,29 @@ SWAPS = st.tuples(ATOMS, ATOMS).filter(lambda t: t[0] != t[1])
 @settings(max_examples=200, deadline=None)
 @given(st.recursive(st.one_of(VALUES, NON_ATOMS), lambda c: st.lists(c, max_size=3).map(tuple),
                     max_leaves=8), SWAPS)
+@example(FsFun(0, (0, 1), (), ()), (2, 4))  # moves the default atom 2 off the new one
+@example(Abstraction(0, (0, 1)), (0, 1))  # swaps the binder with a free atom of the body
+@example(Element(ORBITS, "up", (1, 2)), (1, 3))  # (3, 2) re-sorts to (2, 3)
 def test_act_swap_matches_the_transposition(value, swap):
     # a bool or a negative atom anywhere in the tuples raises alike
     x, y = swap
     assert outcome(act_swap, x, y, value) == outcome(act_value, make_perm([swap]), value)
+
+
+class Opaque:
+    """A protocol value from outside nomfix: it has only ``apply_perm`` and ``support``."""
+
+    def __init__(self, atoms):
+        self.atoms = tuple(atoms)
+
+    def apply_perm(self, f):
+        return Opaque(map(f, self.atoms))
+
+    def support(self):
+        return frozenset(self.atoms)
+
+    def __eq__(self, other):
+        return isinstance(other, Opaque) and self.atoms == other.atoms
 
 
 def test_swaps_on_atoms_build_no_permutation():
@@ -582,6 +618,19 @@ def test_swaps_on_atoms_build_no_permutation():
         calls += 1
         return make_perm(transpositions)
 
+    # every nomfix value type swaps itself, nested or not
+    inner = FsFun(2, 2, (0, 1), (1, 0))
+    nested = FsFun(0, inner, (1, 3), (inner, FsFun(0, 0, (), ())))
+    swapped = [
+        (0, 5, nested), (1, 3, nested), (0, 2, nested),
+        (0, 5, Abstraction(0, (0, 1))), (1, 0, Abstraction(0, (0, 1, nested))),
+        (1, 4, Element(ORBITS, "up", (1, 2))), (2, 0, Element(ORBITS, "up", (1, 2))),
+        (0, 3, restrict_distinct(FsFun(0, FsFun(1, 1, (), ()), (2,), (FsFun(0, 2, (), ()),)))),
+    ]
+    expected = [act_value(make_perm([(x, y)]), v) for x, y, v in swapped]
+    pi = make_perm([(0, 1), (1, 2), (3, 4)])
+    moved_abstractions = [Abstraction(b, (0, 1, nested, 3)) for b in range(5)]
+    expected_moved = [Abstraction(pi(a.binder), act_value(pi, a.body)) for a in moved_abstractions]
     rng = random.Random(67)
     with pytest.MonkeyPatch.context() as m:
         for module in (perm, values, abstraction, fsfunc, nomset):
@@ -594,9 +643,10 @@ def test_swaps_on_atoms_build_no_permutation():
             f = FsFun(rng.randrange(5), rng.randrange(5), (1, 3), (rng.randrange(5), 4))
             off_table = [b for b in range(8) if b not in f.keys and b != f.default_atom]
             assert [fs_apply(f, b) for b in off_table]
+        assert [act_swap(x, y, v) for x, y, v in swapped] == expected
+        assert fs_apply(FsFun(0, Abstraction(0, (0, 1)), (), ()), 5) == Abstraction(0, (0, 1))
+        assert [act_value(pi, a) for a in moved_abstractions] == expected_moved
         assert calls == 0
-        # the counter does see a swap that acts through apply_perm
-        g = FsFun(0, Abstraction(0, (0, 1)), (), ())
-        calls = 0
-        fs_apply(g, 5)  # off the table: the default atom is 2
-        assert calls > 0
+        # the counter does see a swap of a value that has no swap of its own
+        assert act_swap(0, 1, Opaque((0, 2))) == Opaque((1, 2))
+        assert calls == 1

@@ -249,3 +249,13 @@ def test_perm_between_maps_the_tuples_and_fixes_the_rest():
         pi = perm_between(src, dst)
         assert [pi(a) for a in src] == dst
         assert pi.moved() <= set(src) | set(dst)
+
+
+def test_perm_between_refuses_repeats_and_unequal_lengths():
+    # a repeated atom or a length mismatch once gave a wrong permutation silently:
+    # ((1, 1), (2, 3)) sent 1 to 3, and ((1, 2, 5), (3, 4)) fixed 5
+    for src, dst in [((1, 1), (2, 3)), ((2, 3), (1, 1)), ((1, 2, 5), (3, 4)),
+                     ((3, 4), (1, 2, 5)), ((0, 1, 0), (0, 1, 0)), ((), (0,))]:
+        with pytest.raises(ValueError, match="two equally long tuples of distinct atoms"):
+            perm_between(src, dst)
+    assert perm_between(range(3), (2, 0, 1)) == FinPerm({0: 2, 1: 0, 2: 1})
