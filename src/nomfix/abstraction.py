@@ -2,25 +2,24 @@
 
 Two pairs are identified when swapping their binders to a common fresh atom
 makes the bodies equal.  The constructor normalizes the binder to the least
-atom outside the body's remaining support, so structural equality on the
-stored form coincides with the class equality tested by abstr_eq.  Only the
-constructor computes that support: the permutation action uses
-equivariance, supp(pi.x) = pi.supp(x), to pick the image's binder directly.
-Bodies are arbitrary protocol values, so abstractions nest and mix with
-tuples, orbit elements, and finitely supported functions.  Abstractions are
-immutable records: ``==`` and hashing go by the stored binder and body.
+atom outside the body's remaining support, so the class equality is
+structural equality on the stored form, and abstr_eq is ``==``.  Only the
+constructor computes that support: ``_moved``, the one action behind
+``apply_perm`` and ``act_swap``, uses equivariance, supp(pi.x) = pi.supp(x),
+to pick the image's binder directly.  Bodies are arbitrary protocol values,
+so abstractions nest and mix with tuples, orbit elements, and finitely
+supported functions.  Abstractions are immutable records: ``==`` and hashing
+go by the stored binder and body.
 """
 
 from __future__ import annotations
 
-from functools import partial
-
 from .perm import FinPerm, fresh, is_atom
 from .record import Record, fill
-from .values import act_swap, act_value, support_value
+from .values import Nominal, act_swap, support_value
 
 
-class Abstraction(Record):
+class Abstraction(Record, Nominal):
     __slots__ = ("binder", "body")
 
     def __init__(self, binder: int, body):
@@ -31,12 +30,6 @@ class Abstraction(Record):
         if canonical != binder:
             body = act_swap(binder, canonical, body)
         fill(self, canonical, body)
-
-    def apply_perm(self, f: FinPerm) -> "Abstraction":
-        return self._moved(partial(act_value, f))
-
-    def _swap(self, x: int, y: int) -> "Abstraction":
-        return self._moved(partial(act_swap, x, y))
 
     def _moved(self, f) -> "Abstraction":  # f acts on values
         # By equivariance the image's support is f(support()), so its binder
@@ -57,16 +50,15 @@ def abstr(binder: int, body) -> Abstraction:
 
 
 def _eq_at(a1: Abstraction, a2: Abstraction, z: int) -> bool:
-    # the class test at one specific fresh atom z; any fresh choice agrees
+    # the class test by definition, at one fresh atom z; any fresh choice agrees
     b1 = a1.body if z == a1.binder else act_swap(a1.binder, z, a1.body)
     b2 = a2.body if z == a2.binder else act_swap(a2.binder, z, a2.body)
     return b1 == b2
 
 
 def abstr_eq(a1: Abstraction, a2: Abstraction) -> bool:
-    """Class equality: swap both binders to one fresh atom, compare bodies."""
-    taken = {a1.binder, a2.binder} | support_value(a1.body) | support_value(a2.body)
-    return _eq_at(a1, a2, fresh(taken))
+    """Class equality, which the canonical binder makes ``==``."""
+    return a1 == a2
 
 
 def act_abstr(f: FinPerm, a: Abstraction) -> Abstraction:

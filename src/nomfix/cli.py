@@ -145,11 +145,8 @@ def _cmd_dfa_equiv(args):
         if max_len < 0 or pool < 1:
             raise CliError("--brute needs MAXLEN >= 0 and POOL >= 1")
         equal, word = dfa_brute_equiv(d1, d2, max_len, pool)
-    if equal:
-        print("equivalent")
-        return 0
-    print(f"counterexample: {','.join(map(str, word)) if word else '(empty)'}")
-    return 1
+    return _verdict(equal, "equivalent",
+                    f"counterexample: {','.join(map(str, word)) if word else '(empty)'}")
 
 
 _TWO_STATES = ("graph1", "state1", "graph2", "state2")

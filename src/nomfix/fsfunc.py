@@ -12,9 +12,9 @@ equality of canonical quadruples is extensional equality.  The constructor
 is the only place that searches for a support, with at most one swap per
 candidate atom: u is in the support when it is in the (minimal) support of
 some image f(b) with b other than u, or, for a key u, when swapping u with a
-fresh atom moves f(u).  The permutation action uses equivariance,
+fresh atom moves f(u).  The action ``_moved`` uses equivariance,
 supp(pi.f) = pi.supp(f), to read the image's canonical form off the stored
-one in a single walk.
+one in a single walk, and ``fs_eq`` is ``==``.
 
 Functions of several distinct atoms (curried, uniformly nested quadruples)
 support the gap-filling section construction: fill extends an arbitrary
@@ -28,12 +28,11 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from functools import partial
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .nomset import is_strong, min_support
-from .perm import FinPerm, fresh, is_atom, perm_between
-from .values import act_swap, act_value, support_value
+from .perm import fresh, is_atom, perm_between
+from .values import Nominal, act_swap, support_value
 
 
 def _raw_apply(a: int, d, keys: tuple[int, ...], vals: tuple, b: int):
@@ -44,7 +43,7 @@ def _raw_apply(a: int, d, keys: tuple[int, ...], vals: tuple, b: int):
     return act_swap(a, b, d)
 
 
-class FsFun:
+class FsFun(Nominal):
     """Canonical quadruple representation of one finitely supported function."""
 
     __slots__ = ("default_atom", "default_value", "keys", "values")
@@ -102,12 +101,6 @@ class FsFun:
         self.default_atom = fresh(supp)
         self.default_value = at(self.default_atom)
 
-    def apply_perm(self, f: FinPerm) -> "FsFun":
-        return self._moved(partial(act_value, f))
-
-    def _swap(self, x: int, y: int) -> "FsFun":
-        return self._moved(partial(act_swap, x, y))
-
     def _moved(self, f) -> "FsFun":  # f acts on values
         # By equivariance the image is supported by f(keys) and maps f(k) to
         # f.v.  It maps f(a) to f.d, and the new default atom a' to
@@ -160,10 +153,8 @@ def fs_from_table(entries: Mapping[int, object], fresh_pair: tuple[int, object])
 
 
 def fs_eq(f: FsFun, g: FsFun) -> bool:
-    """Extensional equality, decided on the joint support plus one fresh atom."""
-    s = f.support() | g.support()
-    probes = sorted(s) + [fresh(s)]
-    return all(fs_apply(f, b) == fs_apply(g, b) for b in probes)
+    """Extensional equality, which canonical quadruples make ``==``."""
+    return f == g
 
 
 def fs_support(f: FsFun) -> frozenset[int]:
@@ -225,7 +216,7 @@ def nesting_depth(value) -> int:
     return 1 + depths.pop()
 
 
-class DistinctFsFun:
+class DistinctFsFun(Nominal):
     """A nested function read only at pairwise distinct argument tuples."""
 
     __slots__ = ("arity", "inner", "_slot")  # see _stored
@@ -237,11 +228,8 @@ class DistinctFsFun:
             raise ValueError("inner nesting depth must equal the arity")
         self.arity, self.inner, self._slot = arity, inner, None
 
-    def apply_perm(self, f: FinPerm) -> "DistinctFsFun":
-        return _restriction(self.arity, self.inner.apply_perm(f))  # f keeps the nesting depth
-
-    def _swap(self, x: int, y: int) -> "DistinctFsFun":
-        return _restriction(self.arity, self.inner._swap(x, y))
+    def _moved(self, f) -> "DistinctFsFun":  # f keeps the nesting depth
+        return _restriction(self.arity, self.inner._moved(f))
 
     def support(self) -> frozenset[int]:
         return _stored(self)[0]

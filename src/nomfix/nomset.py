@@ -18,7 +18,7 @@ from typing import Iterable, Optional, Sequence
 from .perm import FinPerm, fresh, is_atom, perm_between
 from .record import Record, fill
 from .search import bfs
-from .values import act_swap
+from .values import Nominal, act_swap
 
 MAX_DEGREE = 8
 
@@ -113,7 +113,7 @@ def _canonical_coset(symmetry: CoordGroup, registers: tuple[int, ...]) -> tuple[
                for p in symmetry.closure)
 
 
-class Element(Record):
+class Element(Record, Nominal):
     """One element: orbit name plus canonical distinct register tuple.  Its
     hash leaves out the family, which is slow to hash and rarely differs."""
 
@@ -130,13 +130,10 @@ class Element(Record):
             raise ValueError("registers must be pairwise distinct")
         fill(self, family, orbit, _canonical_coset(descriptor.symmetry, regs))
 
-    def apply_perm(self, f: FinPerm) -> "Element":
-        return Element(self.family, self.orbit, tuple(f(a) for a in self.registers))
-
-    def _swap(self, x: int, y: int) -> "Element":  # the registers stay distinct atoms
+    def _moved(self, f) -> "Element":  # f keeps the registers distinct atoms
         symmetry = self.family.orbit(self.orbit).symmetry
         return fill(Element.__new__(Element), self.family, self.orbit,
-                    _canonical_coset(symmetry, act_swap(x, y, self.registers)))
+                    _canonical_coset(symmetry, f(self.registers)))
 
     def support(self) -> frozenset[int]:
         return frozenset(self.registers)

@@ -2,7 +2,8 @@
 
 A value is an atom (plain int), a tuple of values, or any object exposing
 ``apply_perm(perm)`` and ``support()``.  Orbit elements, abstractions, and
-finitely supported functions all satisfy the protocol, so they nest freely.
+finitely supported functions nest freely; they are ``Nominal``: each moves
+by one private ``_moved(f)``, whether ``f`` applies a permutation or a swap.
 
 Every value type stores a canonical form, so equality in the protocol is
 plain ``==``: a tuple compares its items with ``==``, and the other types
@@ -12,7 +13,19 @@ whose ``==`` is the extensional test ``distinct_fs_eq``.
 
 from __future__ import annotations
 
+from functools import partial
+
 from .perm import FinPerm, make_perm
+
+
+class Nominal:
+    """Base of the nomfix value types; each defines ``_moved(f)``, its image
+    under a function ``f`` that acts on values as one permutation does."""
+
+    __slots__ = ()
+
+    def apply_perm(self, pi: FinPerm):
+        return self._moved(partial(act_value, pi))
 
 
 def act_value(f: FinPerm, value):
@@ -32,13 +45,13 @@ def act_value(f: FinPerm, value):
 
 def act_swap(x: int, y: int, value):
     """``act_value(make_perm([(x, y)]), value)`` for distinct atoms x, y, unchecked; atoms,
-    tuples and nomfix values (by their private ``_swap``) swap without building it."""
+    tuples and ``Nominal`` values (through ``_moved``) swap without building it."""
     if value.__class__ is int and value >= 0:
         return y if value == x else x if value == y else value
     if value.__class__ is tuple:
         return tuple([act_swap(x, y, v) for v in value])
-    if (swap := getattr(value.__class__, "_swap", None)) is not None:
-        return swap(value, x, y)
+    if isinstance(value, Nominal):
+        return value._moved(partial(act_swap, x, y))
     return act_value(make_perm([(x, y)]), value)
 
 

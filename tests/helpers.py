@@ -3,7 +3,8 @@
 import itertools
 
 from nomfix.abstraction import Abstraction
-from nomfix.fsfunc import DistinctFsFun, FsFun, distinct_apply, fill, fs_from_table
+from nomfix.fsfunc import DistinctFsFun, FsFun, distinct_apply, fill, fs_apply, fs_from_table
+from nomfix.nomset import Element
 from nomfix.perm import fresh, make_perm
 from nomfix.termgraph import CUT, LAMBDA_SIG, Node, TermGraph, _fold_tree
 from nomfix.values import act_value, support_value
@@ -110,9 +111,11 @@ def fv_oracle(graph):
 
 
 def rebuild_apply_perm(f, value):
-    """The action that rebuilds every ``FsFun`` and ``Abstraction`` through
-    its canonicalising constructor, recursively, so each image's support is
-    searched for afresh instead of read off by equivariance."""
+    """The action that rebuilds every ``FsFun``, ``Abstraction`` and
+    ``Element`` through its canonicalising (and, for an ``Element``,
+    validating) constructor, recursively, so each image's support is searched
+    for afresh instead of read off by equivariance, and each register coset
+    is canonicalised from the moved registers."""
     if isinstance(value, tuple):
         return tuple(rebuild_apply_perm(f, v) for v in value)
     if isinstance(value, FsFun):
@@ -124,6 +127,8 @@ def rebuild_apply_perm(f, value):
         return Abstraction(f(value.binder), rebuild_apply_perm(f, value.body))
     if isinstance(value, DistinctFsFun):
         return DistinctFsFun(value.arity, rebuild_apply_perm(f, value.inner))
+    if isinstance(value, Element):
+        return Element(value.family, value.orbit, tuple(map(f, value.registers)))
     return act_value(f, value)
 
 
@@ -156,6 +161,14 @@ def swap_test_fsfun(default_atom, default_value, keys, values):
             supp.append(u)
     atom = fresh(supp)
     return tuple(supp), tuple(raw[k] for k in supp), atom, at(atom)
+
+
+def probe_fs_eq(f, g):
+    """Reference for ``fs_eq``: extensional equality of two ``FsFun``s, read
+    through ``fs_apply`` on the joint support plus one fresh atom."""
+    s = f.support() | g.support()
+    probes = sorted(s) + [fresh(s)]
+    return all(fs_apply(f, b) == fs_apply(g, b) for b in probes)
 
 
 def probe_distinct_fs_eq(f, g):

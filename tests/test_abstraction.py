@@ -1,10 +1,11 @@
 """Name abstraction tests.
 
-Alpha classes are compared two ways: through the public abstr_eq (swap both
-binders to one fresh atom and compare bodies) and through the canonical
-structural form.  The fresh-choice tests drive the private _eq_at hook with
-several different fresh atoms to confirm the verdict never depends on the
-choice.
+Alpha classes are compared two ways: through the public abstr_eq, which is
+``==`` on the canonical structural form, and through the definition, the
+private _eq_at hook (swap both binders to one fresh atom and compare
+bodies).  The fresh-choice tests drive _eq_at with several different fresh
+atoms to confirm the verdict never depends on the choice, and a seeded test
+checks abstr_eq against _eq_at on nested bodies.
 """
 
 import random
@@ -23,8 +24,8 @@ from nomfix.abstraction import (
 )
 from nomfix.nomset import CoordGroup, Element, OrbitDescriptor, OrbitFiniteSet, min_support
 from nomfix.perm import fresh, make_perm
-from nomfix.values import act_value, support_value, value_eq
-from test_fsfunc import ATOMS, SWAPS, VALUES
+from nomfix.values import act_swap, act_value, support_value, value_eq
+from test_fsfunc import ATOMS, SWAPS, VALUES, rand_image
 
 
 def test_binder_canonicalization_examples():
@@ -69,6 +70,33 @@ def test_abstr_eq_matches_structural_equality():
         other = tuple(rng.randrange(4) for _ in range(rng.randrange(1, 4)))
         a1, a2 = abstr(v, body), abstr(w, other)
         assert abstr_eq(a1, a2) == (a1 == a2)
+
+
+def test_abstr_eq_matches_the_swap_definition_on_nested_bodies():
+    # bodies are FsFuns, elements with and without symmetry, abstractions and
+    # restrictions; most second abstractions rename the first's binder to an
+    # atom w fresh for it, through the action or through the constructor, and
+    # some of the latter then swap two atoms of the body
+    rng = random.Random(73)
+    pairs, equal = 20000, 0
+    for _ in range(pairs):
+        a1 = Abstraction(rng.randrange(6), rand_image(rng))
+        if rng.random() < 0.6:
+            w = rng.choice([b for b in range(9) if b not in a1.support() | {a1.binder}])
+            if rng.random() < 0.3:  # the swap fixes supp(a1), so it fixes a1
+                a2 = act_swap(a1.binder, w, a1)
+            else:
+                body = act_swap(a1.binder, w, a1.body)
+                if rng.random() < 0.4:
+                    body = act_value(make_perm([tuple(rng.sample(range(7), 2))]), body)
+                a2 = Abstraction(w, body)
+        else:
+            a2 = Abstraction(rng.randrange(6), rand_image(rng))
+        taken = {a1.binder, a2.binder} | support_value(a1.body) | support_value(a2.body)
+        verdict = abstr_eq(a1, a2)
+        assert verdict == _eq_at(a1, a2, fresh(taken)) == abstr_eq(a2, a1)
+        equal += verdict
+    assert equal >= pairs // 3
 
 
 def test_verdict_independent_of_fresh_choice():

@@ -35,7 +35,13 @@ from nomfix.abstraction import Abstraction, abstr_eq
 from nomfix.nomset import CoordGroup, Element, OrbitDescriptor, OrbitFiniteSet, min_support
 from nomfix.perm import FinPerm, apply_set, fresh, invert, make_perm
 from nomfix.values import act_swap, act_value, support_value, value_eq
-from helpers import probe_distinct_fs_eq, probe_section, rebuild_apply_perm, swap_test_fsfun
+from helpers import (
+    probe_distinct_fs_eq,
+    probe_fs_eq,
+    probe_section,
+    rebuild_apply_perm,
+    swap_test_fsfun,
+)
 from test_nomset import brute_min_support
 
 
@@ -136,6 +142,41 @@ def test_fs_eq_matches_extensional_comparison():
         extensional = all(value_eq(fs_apply(f, b), fs_apply(g, b)) for b in range(20))
         assert fs_eq(f, g) == extensional
         assert (f == g) == extensional
+
+
+def rand_image(rng):
+    """An atom, tuple, abstraction, element or depth-1 FsFun from
+    ``rand_value``, a depth-2 FsFun, or a restriction."""
+    kind = rng.randrange(16)
+    if kind == 14:
+        return rand_nested2(rng, 3)
+    if kind == 15:
+        return restrict_distinct(rand_inner(rng, 3) if rng.random() < 0.75 else rand_nested2(rng, 2))
+    return rand_value(rng, 1)
+
+
+def retraced(rng, f):
+    """``f`` rebuilt from its own trace: read at its keys, up to two extra
+    atoms and another default atom, with one image sometimes drawn afresh."""
+    keys = sorted(set(f.keys).union(rng.sample(range(8), rng.randrange(3))))
+    a = rng.choice([b for b in range(10) if b not in keys and b != f.default_atom])
+    images = [fs_apply(f, k) for k in keys] + [fs_apply(f, a)]
+    if rng.random() < 0.25:
+        images[rng.randrange(len(images))] = rand_image(rng)
+    return FsFun(a, images[-1], keys, images[:-1])
+
+
+def test_fs_eq_matches_probe_on_nested_values():
+    rng = random.Random(71)
+    pairs, equal = 20000, 0
+    for _ in range(pairs):
+        table = {k: rand_image(rng) for k in rng.sample(range(5), rng.randrange(3))}
+        f = fs_from_table(table, (fresh(set(table) | {5}), rand_image(rng)))
+        g = retraced(rng, f) if rng.random() < 0.6 else rand_inner(rng, 5)
+        verdict = fs_eq(f, g)
+        assert verdict == probe_fs_eq(f, g) == fs_eq(g, f)
+        equal += verdict
+    assert equal >= pairs // 3
 
 
 def test_star_action_is_extensional_precomposition():
@@ -402,8 +443,9 @@ def test_fsfun_values_nest_in_abstractions():
 
 def rand_value(rng, depth=2):
     """A random nested value: atoms, tuples, abstractions (vacuous binders
-    included), FsFuns at depth 1-2 and over other values, and restrictions."""
-    kind = rng.randrange(8 if depth > 1 else 5) if depth else 0
+    included), orbit elements with and without symmetry, FsFuns at depth 1-2
+    and over other values, and restrictions."""
+    kind = rng.randrange(9 if depth > 1 else 6) if depth else 0
     if kind == 0:
         return rng.randrange(6)
     if kind == 1:
@@ -416,9 +458,11 @@ def rand_value(rng, depth=2):
     if kind == 4:
         return rand_inner(rng, 5)
     if kind == 5:
+        return Element(ORBITS, rng.choice(["pr", "up"]), rng.sample(range(6), 2))
+    if kind == 6:
         table = {k: rand_value(rng, depth - 1) for k in rng.sample(range(5), rng.randrange(3))}
         return fs_from_table(table, (fresh(set(table) | {5}), rand_value(rng, depth - 1)))
-    if kind == 6:
+    if kind == 7:
         return rand_nested2(rng, 3)
     return restrict_distinct(rand_inner(rng) if rng.random() < 0.5 else rand_nested2(rng, 3))
 

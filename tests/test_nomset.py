@@ -32,7 +32,8 @@ from nomfix.nomset import (
     support,
 )
 from nomfix.perm import FinPerm, apply, fresh, make_perm
-from nomfix.values import act_value, value_eq
+from nomfix.values import act_swap, act_value, value_eq
+from helpers import rebuild_apply_perm
 
 
 def brute_min_support(value, candidates, eq=value_eq, action=act_value):
@@ -151,6 +152,25 @@ def test_act_is_an_action():
         from nomfix.perm import compose
         assert act(compose(f, g), e) == act(f, act(g, e))
         assert act(FinPerm({}), e) == e
+
+
+def test_action_matches_the_validating_constructor():
+    # apply_perm and act_swap share Element._moved, so each is checked
+    # against an Element rebuilt through its constructor from moved registers
+    family = OrbitFiniteSet([
+        OrbitDescriptor("swap", 2, CoordGroup(2, [(1, 0)])),
+        OrbitDescriptor("cycle", 4, CoordGroup(4, [(1, 2, 3, 0)])),
+        OrbitDescriptor("s3", 3, CoordGroup(3, [(1, 0, 2), (1, 2, 0)])),
+        OrbitDescriptor("plain", 3, CoordGroup(3)),
+    ])
+    rng = random.Random(79)
+    for _ in range(5000):
+        orbit = family.orbit(rng.choice(["swap", "cycle", "s3", "plain"]))
+        e = Element(family, orbit.name, rng.sample(range(7), orbit.degree))
+        x, y = rng.sample(range(8), 2)
+        pi = make_perm([tuple(rng.sample(range(9), 2)) for _ in range(rng.randrange(1, 4))])
+        assert act_swap(x, y, e) == rebuild_apply_perm(make_perm([(x, y)]), e)
+        assert act_value(pi, e) == e.apply_perm(pi) == rebuild_apply_perm(pi, e)
 
 
 def test_elem_eq_and_set_mismatch():

@@ -1,0 +1,48 @@
+"""Static checks on the library source, read with the standard ``ast`` module."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "nomfix").glob("*.py"))
+
+
+def _annotations(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg | ast.AnnAssign) and node.annotation is not None:
+            yield node.annotation
+        elif isinstance(node, ast.FunctionDef | ast.AsyncFunctionDef) and node.returns:
+            yield node.returns
+
+
+def unused_imports(source):
+    """The names that the imports of ``source`` bind and nothing reads, in
+    order; a name read only in an annotation, even a string one, is used."""
+    tree = ast.parse(source)
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import | ast.ImportFrom) and getattr(node, "module", "") != "__future__":
+            for alias in node.names:
+                bound.setdefault(alias.asname or alias.name.partition(".")[0], node.lineno)
+    trees = [tree]
+    for annotation in _annotations(tree):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                trees.append(ast.parse(node.value, mode="eval"))
+    used = {node.id for t in trees for node in ast.walk(t) if isinstance(node, ast.Name)}
+    return [name for name, _ in sorted(bound.items(), key=lambda item: item[1]) if name not in used]
+
+
+def test_the_check_sees_reads_and_annotations():
+    assert unused_imports("import os.path\nfrom typing import Iterable, Sequence as Seq\n") == \
+        ["os", "Iterable", "Seq"]
+    assert unused_imports("import os.path\nos.path.join\n") == []
+    assert unused_imports("from typing import Iterable, Mapping\n"
+                          "def f(x: Iterable) -> 'Mapping[int, int]': pass\n") == []
+    assert unused_imports("from __future__ import annotations\n") == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []
