@@ -8,21 +8,22 @@ equals register ``j`` (at most one ``j``, since registers are distinct) or
 it is fresh — and the selected :class:`TargetExpr` says how to fill the
 target orbit's registers from the old ones and the letter.
 
-Because the only test a machine can perform is equality against stored
-atoms, language equivalence is decidable: :func:`dfa_equiv` explores pairs
-of concrete states but deduplicates them up to renaming, which leaves
-finitely many equality patterns.  It steps plain ``(orbit, registers)``
-tuples through rules compiled once per machine, on its first comparison
-(a machine is read-only after construction), and keys a pair by where each
-register of one machine sits among the other's, which fixes the pair up to
+Because the only test a machine can perform is equality against stored atoms,
+language equivalence is decidable: :func:`dfa_equiv` explores pairs of concrete
+states but deduplicates them up to renaming, which leaves finitely many
+equality patterns.  It steps plain ``(orbit, registers)`` tuples through rules
+each machine compiles on its first comparison into the cached property
+``_compiled`` (a machine is read-only once built), and keys a pair by where
+each register of one machine sits among the other's, which fixes the pair up to
 renaming because registers are pairwise distinct; :func:`nomfix.search.bfs`
-runs the search.  It skips pairs of two orbits that accept nothing, which
-the orbit graph shows, since every case of an orbit is enabled in each of
-its states: both sides reject every word.  :func:`dfa_brute_equiv` is the
-naive word-by-word comparison on ``Element`` states that checks it.
+runs the search.  It skips pairs of two orbits that accept nothing, which the
+orbit graph shows, since every case of an orbit is enabled in each of its
+states: both sides reject every word.  :func:`dfa_brute_equiv` is the naive
+word-by-word comparison on ``Element`` states that checks it.
 """
 
 import itertools
+from functools import cached_property
 
 from .nomset import CoordGroup, Element, OrbitDescriptor, OrbitFiniteSet
 from .perm import fresh, is_atom
@@ -121,7 +122,9 @@ class NomDFA:
         self.initial = initial
         self.accepting = accepting
         self.delta = dict(delta)
-        self._compiled = None  # (rules table, dead orbits), built by the first dfa_equiv
+
+    # the rules table and the dead orbits, built by the first dfa_equiv and kept
+    _compiled = cached_property(lambda self: (table := _compile(self), _dead(self, table)))
 
 
 def _check_expr(family, source, degree, expr, equal_index):
@@ -221,9 +224,6 @@ def dfa_equiv(d1, d2):
     other pair, the verdict and the word are unchanged.  Machines are
     read-only, so each is compiled once, on first use, and kept on it.
     """
-    for d in (d1, d2):
-        if d._compiled is None:
-            d._compiled = (table := _compile(d)), _dead(d, table)
     (t1, dead1), (t2, dead2) = d1._compiled, d2._compiled
 
     # A child is built only for a new key: most letters repeat a key.
@@ -265,23 +265,16 @@ def dfa_brute_equiv(d1, d2, max_len, pool):
     return True, None
 
 
-def _expr_to_jsonable(expr):
-    return {
-        "orbit": expr.orbit,
-        "sources": ["input" if s == INPUT else s for s in expr.sources],
-    }
+def _expr_to_jsonable(expr):  # INPUT is its own JSON form
+    return {"orbit": expr.orbit, "sources": list(expr.sources)}
 
 
 def _expr_from_jsonable(blob):
-    sources = []
-    for s in blob["sources"]:
-        if s == "input":
-            sources.append(INPUT)
-        elif isinstance(s, int) and not isinstance(s, bool):
-            sources.append(s)
-        else:
+    sources = blob["sources"]
+    for s in sources:
+        if s != INPUT and not (isinstance(s, int) and not isinstance(s, bool)):
             raise ValueError(f"bad source entry {s!r}")
-    return TargetExpr(blob["orbit"], tuple(sources))
+    return TargetExpr(blob["orbit"], sources)
 
 
 def dfa_to_jsonable(dfa):

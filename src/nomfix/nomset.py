@@ -16,7 +16,7 @@ import math
 from typing import Iterable, Optional, Sequence
 
 from .perm import FinPerm, fresh, is_atom, perm_between
-from .record import Record, fill
+from .record import Family, Record, fill
 from .search import bfs
 from .values import Nominal, act_swap
 
@@ -77,33 +77,10 @@ class OrbitDescriptor(Record):
         fill(self, name, degree, symmetry)
 
 
-class OrbitFiniteSet:
-    __slots__ = ("orbits", "_by_name")
-
-    def __init__(self, orbits: Iterable[OrbitDescriptor]):
-        self.orbits = tuple(orbits)
-        self._by_name = {}
-        for orbit in self.orbits:
-            if orbit.name in self._by_name:
-                raise ValueError(f"duplicate orbit name {orbit.name!r}")
-            self._by_name[orbit.name] = orbit
-
-    def orbit(self, name: str) -> OrbitDescriptor:
-        try:
-            return self._by_name[name]
-        except KeyError:
-            raise ValueError(f"unknown orbit {name!r}") from None
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, OrbitFiniteSet):
-            return NotImplemented
-        return self.orbits == other.orbits
-
-    def __hash__(self) -> int:
-        return hash(self.orbits)
-
-    def __repr__(self) -> str:
-        return f"OrbitFiniteSet({[o.name for o in self.orbits]})"
+class OrbitFiniteSet(Family):
+    __slots__ = ()
+    _repeated, _unknown = "duplicate orbit name {!r}", "unknown orbit {!r}"
+    orbits, orbit = Family._members, Family._lookup
 
 
 def _canonical_coset(symmetry: CoordGroup, registers: tuple[int, ...]) -> tuple[int, ...]:

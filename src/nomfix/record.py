@@ -1,7 +1,9 @@
 """Immutable records with the value semantics of a frozen dataclass: the
 fields are the ``__slots__``, at least two, set once through :func:`fill`;
 ``==``, hashing and ``repr`` go by them in order, and assignment raises
-AttributeError.  A subclass that declares no slots keeps its parent's fields."""
+AttributeError.  A subclass that declares no slots keeps its parent's fields.
+A :class:`Family` holds members with distinct names, such as the operations
+of a binding signature or the orbits of an orbit-finite set."""
 
 from operator import attrgetter
 
@@ -45,3 +47,39 @@ class Record:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field '{name}'")
+
+
+class Family:
+    """A tuple of members with distinct ``name``s, ``==`` and hashing by it, and
+    lookup by name.  A subclass sets the messages ``_repeated`` and ``_unknown``,
+    formatted with the name, and aliases ``_members`` and ``_lookup``."""
+
+    __slots__ = ("_members", "_by_name")
+
+    def __init__(self, members):
+        self._members = tuple(members)
+        self._by_name = {}
+        for member in self._members:
+            if member.name in self._by_name:
+                raise ValueError(self._repeated.format(member.name))
+            self._by_name[member.name] = member
+
+    def _lookup(self, name):
+        try:
+            return self._by_name[name]
+        except KeyError:
+            raise ValueError(self._unknown.format(name)) from None
+
+    def __contains__(self, name):
+        return name in self._by_name
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._members == other._members
+
+    def __hash__(self):
+        return hash(self._members)
+
+    def __repr__(self):
+        return f"{self.__class__.__qualname__}({list(self._by_name)})"

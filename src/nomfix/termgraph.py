@@ -31,10 +31,11 @@ fold, ``_fold_tree``, that visits each shared subtree once.
 """
 
 import re
-from types import MappingProxyType, SimpleNamespace
+from functools import cached_property
+from types import MappingProxyType
 
 from .perm import apply, is_atom
-from .record import Record, fill
+from .record import Family, Record, fill
 from .search import bfs, picker
 
 __all__ = [
@@ -67,14 +68,10 @@ __all__ = [
 class _Cut:
     """Marker for a pruned subtree in a finite truncation."""
 
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
     def __repr__(self):
+        return "CUT"
+
+    def __reduce__(self):  # copy and pickle give back CUT itself
         return "CUT"
 
 
@@ -121,36 +118,12 @@ def _is_token(text, forbidden):
             and not any(ch.isspace() or ch in forbidden for ch in text))
 
 
-class BindingSignature:
+class BindingSignature(Family):
     """A finite family of operations, looked up by name."""
 
-    def __init__(self, ops):
-        self.ops = tuple(ops)
-        self._by_name = {}
-        for spec in self.ops:
-            if spec.name in self._by_name:
-                raise ValueError(f"duplicate operation '{spec.name}'")
-            self._by_name[spec.name] = spec
-
-    def op(self, name):
-        try:
-            return self._by_name[name]
-        except KeyError:
-            raise ValueError(f"unknown operation '{name}'") from None
-
-    def __contains__(self, name):
-        return name in self._by_name
-
-    def __eq__(self, other):
-        if not isinstance(other, BindingSignature):
-            return NotImplemented
-        return self.ops == other.ops
-
-    def __hash__(self):
-        return hash(self.ops)
-
-    def __repr__(self):
-        return f"BindingSignature({list(self._by_name)})"
+    __slots__ = ()
+    _repeated, _unknown = "duplicate operation '{}'", "unknown operation '{}'"
+    ops, op = Family._members, Family._lookup
 
 
 #: The untyped lambda calculus: ``lam`` binds one atom over one child,
@@ -250,14 +223,16 @@ class TermGraph:
                 raise TypeError("states must map names to Node values")
             rows[name] = Node._fields(node)
         self.signature, self._rows = signature, rows  # rows in Node._fields order
-        self._problems = self._fv = self._alpha = self._states = None  # built on first use
 
-    @property
+    @cached_property
     def states(self):
-        if self._states is None:
-            self._states = MappingProxyType(
-                {name: fill(object.__new__(Node), *row) for name, row in self._rows.items()})
-        return self._states
+        return MappingProxyType(
+            {name: fill(object.__new__(Node), *row) for name, row in self._rows.items()})
+
+    # tables built on first use and kept, as a graph is read-only
+    _problems = cached_property(lambda self: _compile(self))
+    _fv = cached_property(lambda self: _fv_table(self))
+    _alpha = cached_property(lambda self: _alpha_table(self))
 
     def __eq__(self, other):
         if not isinstance(other, TermGraph):
@@ -269,11 +244,9 @@ class TermGraph:
 
 
 def _compile(graph):
-    """Validate ``graph`` and, if valid, compile it, in one pass once per graph;
-    return the problems.  A valid graph numbers its states ``0 .. n-1``
-    (``_index``) and keeps per number the row and its children's numbers."""
-    if graph._problems is not None:
-        return graph._problems
+    """The problem list ``graph._problems``, found by one pass that validates
+    ``graph`` and, if valid, numbers its states ``0 .. n-1`` (``_index``) and
+    keeps per number the row and its children's numbers."""
     rows, ops = graph._rows, graph.signature._by_name
     index = {name: i for i, name in enumerate(rows)}
     problems, kids = [], []
@@ -322,18 +295,16 @@ def _compile(graph):
         kids.append(tuple(row))
     if not problems:
         graph._index, graph._by_number, graph._kids = index, list(rows.values()), kids
-    graph._problems = tuple(problems)  # last: a set marker means a finished compile
-    return graph._problems
+    return tuple(problems)
 
 
 def _fv_table(graph):
-    """Each state's free atoms, by number, found once per valid graph:
-    the least fixpoint of the equations, by a worklist over reverse edges that
-    re-queues a state only when its set grows.  A set is an int bitset with
-    one bit per distinct atom by first sight, never by value: atoms are
-    unbounded; it is shown as a tuple in the same order of first sight."""
-    if graph._fv is not None:
-        return graph._fv
+    """Each state's free atoms, by number, for a valid graph, which
+    ``graph._fv`` keeps: the least fixpoint of the equations, by a worklist
+    over reverse edges that re-queues a state only when its set grows.  A set
+    is an int bitset with one bit per distinct atom by first sight, never by
+    value: atoms are unbounded; it is shown as a tuple in the same order of
+    first sight."""
     bit, fv, parents, keeps = {}, [], [[] for _ in graph._kids], {}
     for p, ((_, atoms, groups, _), kids) in enumerate(zip(graph._by_number, graph._kids)):
         own = 0
@@ -357,8 +328,7 @@ def _fv_table(graph):
                 fv[p] = grown
                 work.append(p)
     shown = {m: tuple([a for a, b in bit.items() if m & b]) for m in set(fv)}
-    graph._fv = [shown[m] for m in fv]
-    return graph._fv
+    return [shown[m] for m in fv]
 
 
 def validate(graph):
@@ -370,12 +340,12 @@ def validate(graph):
     node fields; the other operations on graphs refuse to run until this
     list is empty.
     """
-    return list(_compile(graph))
+    return list(graph._problems)
 
 
 def _number(graph, state):
     """The number of ``state`` in ``graph``, which must be valid."""
-    problems = _compile(graph)
+    problems = graph._problems
     if problems:
         raise ValueError(problems[0])
     try:
@@ -430,7 +400,7 @@ def unfold(graph, state, depth):
 def free_atoms(graph, state):
     """Atoms occurring free in the tree denoted by ``state``."""
     number = _number(graph, state)
-    return frozenset(_fv_table(graph)[number])
+    return frozenset(graph._fv[number])
 
 
 def tree_free_atoms(tree):
@@ -438,11 +408,11 @@ def tree_free_atoms(tree):
 
     An occurrence is free when no binder group above it binds the atom.
     """
-    return frozenset(_fv_table(_tree_graph(tree))[0])
+    return frozenset(_tree_graph(tree)._fv[0])
 
 
 def _check_pair(g1, s1, g2, s2):
-    problems = _compile(g1) or _compile(g2)
+    problems = g1._problems or g2._problems
     if problems:
         raise ValueError(problems[0])
     if g1.signature != g2.signature:
@@ -479,7 +449,7 @@ def raw_bisim(g1, s1, g2, s2):
 
 
 def _alpha_table(graph):
-    """Each state's node compiled for the alpha search, once per graph.
+    """Each state's node compiled for the alpha search, which ``graph._alpha`` keeps.
 
     An entry is ``(op, label, atoms, picks)``: ``atoms`` picks the node's
     atoms out of a tuple aligned with the state's free atoms, and
@@ -487,9 +457,7 @@ def _alpha_table(graph):
     plus one value per bound atom of the group onto the child's free atoms.
     Equal index tuples share one picker.
     """
-    if graph._alpha is not None:
-        return graph._alpha
-    fv = _fv_table(graph)
+    fv = graph._fv
     by_atoms = {}  # (source atoms, wanted atoms) -> picker
     by_index = {}  # index tuple -> picker
 
@@ -507,7 +475,6 @@ def _alpha_table(graph):
         picks = tuple([tuple([pick_from(here + bound, fv[next(kid)]) for _ in children])
                        for bound, children in groups])
         table.append((op, label, pick_from(here, atoms), picks))
-    graph._alpha = table
     return table
 
 
@@ -523,7 +490,7 @@ def _alpha_search(g1, g2, i1, i2):
     from its parent's plus the right group's binders, through the left
     graph's compiled table, so the configurations are finitely many.
     """
-    table, kids1, rows2, kids2 = _alpha_table(g1), g1._kids, g2._by_number, g2._kids
+    table, kids1, rows2, kids2 = g1._alpha, g1._kids, g2._by_number, g2._kids
 
     def expand(config, seen, push):
         sa, sb, vals = config
@@ -546,7 +513,7 @@ def _alpha_search(g1, g2, i1, i2):
                     push.append(child)
         return push
 
-    root = (i1, i2, _fv_table(g1)[i1])
+    root = (i1, i2, g1._fv[i1])
     return (root, root), expand
 
 
@@ -594,8 +561,9 @@ def _tree_graph(tree):
                 if row[-1] == len(nodes):
                     nodes.append(c)
         kids.append(tuple(row))
-    rows = list(map(Node._fields, nodes))
-    return SimpleNamespace(_by_number=rows, _kids=kids, _leaves=leaves, _fv=None, _alpha=None)
+    graph = TermGraph.__new__(TermGraph)  # no signature or rows: only the tables
+    graph._by_number, graph._kids, graph._leaves = list(map(Node._fields, nodes)), kids, leaves
+    return graph
 
 
 def tree_alpha_eq(t1, t2):

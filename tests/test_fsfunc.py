@@ -483,6 +483,14 @@ def test_action_matches_constructor_rebuild():
             if isinstance(out, Abstraction):
                 assert repr(Abstraction(out.binder, out.body)) == repr(out)
             assert support_value(out) == apply_set(pi, support)
+    # an int subclass is an atom; a bool is refused
+    pi = make_perm([(2, 5)])
+    atom = type("Atom", (int,), {})
+    assert [act_value(pi, atom(a)) for a in (2, 3, 5)] == [5, 3, 2]
+    with pytest.raises(ValueError, match="atoms are nonnegative integers"):
+        act_value(pi, atom(-1))
+    with pytest.raises(TypeError, match="booleans are not values"):
+        act_value(pi, True)
 
 
 ATOMS = st.integers(0, 4)

@@ -290,6 +290,11 @@ def test_set_json_roundtrip():
     assert hash(set_from_jsonable(blob)) == hash(up)
     assert repr(up) == "OrbitFiniteSet(['q1', 'q0'])"
     assert up != up.orbits
+    assert "q0" in up and "q2" not in up and up.orbit("q0") is up.orbits[1]
+    with pytest.raises(ValueError, match="^unknown orbit 'q2'$"):
+        up.orbit("q2")
+    with pytest.raises(ValueError, match="^duplicate orbit name 'q1'$"):
+        set_from_jsonable({"orbits": blob["orbits"] + blob["orbits"][:1]})
 
 
 def test_element_json_roundtrip():

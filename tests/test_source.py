@@ -46,3 +46,32 @@ def test_the_check_sees_reads_and_annotations():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def public_names(source):
+    """The ``__all__`` of ``source``, and the names that its top level defines
+    by ``def``, ``class`` or assignment and that do not start with ``_``;
+    imports are not counted."""
+    defined = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef | ast.AsyncFunctionDef | ast.ClassDef):
+            defined[node.name] = node
+        elif isinstance(node, ast.Assign | ast.AnnAssign):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                if isinstance(target, ast.Name):
+                    defined[target.id] = node
+    return (ast.literal_eval(defined["__all__"].value),
+            {name for name in defined if not name.startswith("_")})
+
+
+def test_the_public_name_check_sees_defs_classes_and_assignments():
+    assert public_names("import os\nfrom re import sub\nA = 1\nB: int = 2\n_c = 3\n"
+                        "__all__ = ['A', 'f']\ndef f(): x = 1\nclass K: y = 2\n"
+                        "def _g(): pass\n") == (["A", "f"], {"A", "B", "f", "K"})
+
+
+@pytest.mark.parametrize("name", ["termgraph.py", "nomauto.py"])
+def test_all_lists_exactly_the_public_names(name):
+    exported, defined = public_names((SOURCES[0].parent / name).read_text())
+    assert len(set(exported)) == len(exported)
+    assert set(exported) == defined

@@ -6,7 +6,9 @@ binder coordinates so finite-tree alpha equality is plain structural
 equality.  Production verdicts must agree with both at every tested depth.
 """
 
+import copy
 import json
+import pickle
 import random
 import re
 import sys
@@ -294,6 +296,9 @@ def test_node_equality_and_hash_handle_deep_and_shared_trees():
     x, y = spine(Node("var", (0,), ())), spine(Node("var", (0,), ()))
     assert x == y and hash(x) == hash(y)
     assert x != spine(Node("var", (1,), ()))
+    # a leaf that is not a Node against a node, on either side
+    assert spine(CUT) != x and x != spine(CUT) and spine(CUT) == spine(CUT)
+    assert Node("lam", (), (((0,), (CUT,)),)) != Node("lam", (), (((0,), (5,)),))
 
     # 2^40 paths, 40 node objects per tree
     loop = TermGraph(LAMBDA_SIG, {"s": Node("app", (), (((), ("s", "s")),))})
@@ -315,6 +320,12 @@ def test_render_parse_roundtrip():
         assert parse_tree(LAMBDA_SIG, ascii_text) == t
     assert repr(CUT) == "CUT"
     assert repr(unfold(lam_graph(), "s", 1)).endswith("(CUT,)),), label=None)")
+    # CUT keeps its identity through copy and pickle, alone and inside a tree
+    tree = unfold(lam_graph(), "s", 2)  # (lam 0 (app ⊥ ⊥))
+    for clone in (copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))):
+        assert clone(CUT) is CUT
+        cuts = clone(tree).groups[0][1][0].groups[0][1]
+        assert len(cuts) == 2 and all(c is CUT for c in cuts)
 
 
 def test_render_tree_rejects_non_string_operations_and_labels():
@@ -850,6 +861,11 @@ def test_signature_json_roundtrip():
     assert LAMBDA_SIG != blob
     assert "lam" in LAMBDA_SIG and "lit" not in LAMBDA_SIG
     assert repr(LAMBDA_SIG) == "BindingSignature(['lam', 'app', 'var'])"
+    assert LAMBDA_SIG.op("var") is LAMBDA_SIG.ops[2]
+    with pytest.raises(ValueError, match="^unknown operation 'lit'$"):
+        LAMBDA_SIG.op("lit")
+    with pytest.raises(ValueError, match="^duplicate operation 'var'$"):
+        signature_from_jsonable({"ops": blob["ops"] + blob["ops"][2:]})
 
 
 def test_graph_json_roundtrip():
