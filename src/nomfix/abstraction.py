@@ -14,7 +14,7 @@ go by the stored binder and body.
 
 from __future__ import annotations
 
-from .perm import FinPerm, fresh, is_atom
+from .perm import FinPerm, check_atoms, fresh, is_atom
 from .record import Record, fill
 from .values import Nominal, act_swap, support_value
 
@@ -68,8 +68,7 @@ def act_abstr(f: FinPerm, a: Abstraction) -> Abstraction:
 
 def concretize(a: Abstraction, w: int) -> object:
     """Instantiate the bound name as ``w``; ``w`` must avoid the support."""
-    if not is_atom(w):
-        raise ValueError("atoms are nonnegative integers")
+    check_atoms(w)
     if w in a.support():
         raise ValueError("atom not fresh")
     if w == a.binder:

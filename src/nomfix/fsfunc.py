@@ -31,7 +31,7 @@ from collections import Counter
 from typing import Mapping, Sequence
 
 from .nomset import is_strong, min_support
-from .perm import fresh, is_atom, perm_between
+from .perm import check_atoms, fresh, perm_between
 from .values import Nominal, act_swap, support_value
 
 
@@ -49,10 +49,8 @@ class FsFun(Nominal):
     __slots__ = ("default_atom", "default_value", "keys", "values")
 
     def __init__(self, default_atom: int, default_value, keys: Sequence[int], values: Sequence):
-        a = default_atom
-        keys = tuple(keys)
-        if not is_atom(a) or not all(map(is_atom, keys)):
-            raise ValueError("atoms are nonnegative integers")
+        a, keys = default_atom, tuple(keys)
+        check_atoms(a, *keys)
         values = tuple(values)
         if len(keys) != len(values):
             raise ValueError("keys and values must have equal length")
@@ -133,8 +131,7 @@ class FsFun(Nominal):
 
 def fs_apply(f: FsFun, b: int):
     """Evaluate: table hit on a key, else the default with its atom swapped."""
-    if not is_atom(b):
-        raise ValueError("atoms are nonnegative integers")
+    check_atoms(b)
     return _raw_apply(f.default_atom, f.default_value, f.keys, f.values, b)
 
 
@@ -146,10 +143,10 @@ def fs_from_table(entries: Mapping[int, object], fresh_pair: tuple[int, object])
     (2, 0, 0)
     """
     a, d = fresh_pair
+    check_atoms(a, *entries)
     if a in entries:
         raise ValueError("default atom not fresh")
-    keys = tuple(sorted(entries))
-    return FsFun(a, d, keys, tuple(entries[k] for k in keys))
+    return FsFun(a, d, entries, entries.values())
 
 
 def fs_eq(f: FsFun, g: FsFun) -> bool:
@@ -168,11 +165,7 @@ def uniq(v: Sequence[int]) -> tuple[int, ...]:
     >>> uniq((5, 2, 5, 2))
     (5, 2)
     """
-    seen: list[int] = []
-    for a in v:
-        if a not in seen:
-            seen.append(a)
-    return tuple(seen)
+    return tuple(dict.fromkeys(v))
 
 
 def fill(v: Sequence[int], w: Sequence[int]) -> tuple[int, ...]:
@@ -195,8 +188,7 @@ def fill(v: Sequence[int], w: Sequence[int]) -> tuple[int, ...]:
 
 def _spares(n: int, w: Sequence[int], atoms: Sequence[int] = ()) -> tuple[int, ...]:
     w = tuple(w)
-    if not all(map(is_atom, (*atoms, *w))):
-        raise ValueError("atoms are nonnegative integers")
+    check_atoms(*atoms, *w)
     if len(w) != 2 * n or len(set(w)) != len(w):
         raise ValueError("fill requires 2n distinct atoms")
     return w

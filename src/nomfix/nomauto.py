@@ -99,9 +99,7 @@ class NomDFA:
         if family.orbit(initial).degree != 0:
             raise ValueError("initial orbit must have degree 0")
         accepting = frozenset(accepting)
-        for name in accepting:
-            family.orbit(name)
-        for name in delta:
+        for name in (*accepting, *delta):
             family.orbit(name)
         for descriptor in family.orbits:
             if descriptor.name not in delta:
@@ -182,15 +180,14 @@ def dfa_accepts(dfa, word):
 def _compile(dfa):
     """Each orbit's rules as a tuple of ``(target orbit, picker)`` entries,
     one per equal case and then the fresh case, so index ``-1`` is fresh.
-    A picker maps ``registers + (letter,)`` to the target's registers;
-    equal index tuples share one picker."""
-    table, by_index = {}, {}  # by_index: index tuple -> picker
+    A picker maps ``registers + (letter,)`` to the target's registers."""
+    table = {}
     for name, rules in dfa.delta.items():
         degree = dfa.family.orbit(name).degree
         entries = []
         for expr in rules.equal_cases + (rules.fresh_case,):
             idx = tuple([degree if s == INPUT else s for s in expr.sources])
-            entries.append((expr.orbit, by_index.setdefault(idx, picker(idx))))
+            entries.append((expr.orbit, picker(idx)))
         table[name] = tuple(entries)
     return table
 

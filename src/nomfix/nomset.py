@@ -15,7 +15,7 @@ import itertools
 import math
 from typing import Iterable, Optional, Sequence
 
-from .perm import FinPerm, fresh, is_atom, perm_between
+from .perm import FinPerm, check_atoms, fresh, is_atom, perm_between
 from .record import Family, Record, fill
 from .search import bfs
 from .values import Nominal, act_swap
@@ -145,9 +145,7 @@ def min_support(value, candidates: Iterable[int]) -> frozenset[int]:
     the support exactly when swapping u with an atom z outside the
     candidates changes the value.
     """
-    cands = frozenset(candidates)
-    if not all(map(is_atom, cands)):
-        raise ValueError("atoms are nonnegative integers")
+    cands = frozenset(check_atoms(*candidates))
     z = fresh(cands)
     return frozenset(u for u in cands if act_swap(u, z, value) != value)
 

@@ -28,9 +28,7 @@ class FinPerm:
     __slots__ = ("_map",)
 
     def __init__(self, mapping: dict[int, int]):
-        for a, b in mapping.items():
-            if not (is_atom(a) and is_atom(b)):
-                raise ValueError("atoms are nonnegative integers")
+        check_atoms(*mapping, *mapping.values())
         cleaned = {a: b for a, b in mapping.items() if a != b}
         if len(set(cleaned.values())) != len(cleaned):
             raise ValueError("permutation must be injective")
@@ -66,6 +64,14 @@ def is_atom(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool) and x >= 0
 
 
+def check_atoms(*atoms: int) -> tuple[int, ...]:
+    """The arguments as a tuple, once each is an atom; any other argument is
+    refused with ``ValueError`` before anything compares it (``True == 1``)."""
+    if not all(map(is_atom, atoms)):
+        raise ValueError("atoms are nonnegative integers")
+    return atoms
+
+
 def make_perm(transpositions: Iterable[tuple[int, int]]) -> FinPerm:
     """Compose a word of transpositions, rightmost applied first.
 
@@ -75,10 +81,9 @@ def make_perm(transpositions: Iterable[tuple[int, int]]) -> FinPerm:
     """
     m: dict[int, int] = {}
     for x, y in transpositions:
+        check_atoms(x, y)
         if x == y:
             raise ValueError("transposition needs two distinct atoms")
-        if not (is_atom(x) and is_atom(y)):
-            raise ValueError("atoms are nonnegative integers")
         # precompose with (x y): x now goes where y went, and y where x went
         m[x], m[y] = m.get(y, y), m.get(x, x)
     # a product of transpositions of checked atoms is a permutation already
@@ -89,8 +94,7 @@ def make_perm(transpositions: Iterable[tuple[int, int]]) -> FinPerm:
 
 def apply(f: FinPerm, atom: int) -> int:
     """Image of one atom under ``f``."""
-    if not is_atom(atom):
-        raise ValueError("atoms are nonnegative integers")
+    check_atoms(atom)
     return f(atom)
 
 
@@ -108,13 +112,15 @@ def compose(f: FinPerm, g: FinPerm) -> FinPerm:
 
 def perm_between(src: Iterable[int], dst: Iterable[int]) -> FinPerm:
     """Take src[i] to dst[i] (distinct atoms), dst - src to src - dst in order; fix the rest."""
-    src, dst = tuple(src), tuple(dst)
+    src, dst = check_atoms(*src), check_atoms(*dst)
     mapping = dict(zip(src, dst))
     sources, targets = set(mapping), set(mapping.values())
     if not len(src) == len(dst) == len(sources) == len(targets):
         raise ValueError("perm_between needs two equally long tuples of distinct atoms")
     mapping.update(zip(sorted(targets - sources), sorted(sources - targets)))
-    return FinPerm(mapping)
+    f = FinPerm.__new__(FinPerm)  # a bijection of checked atoms already
+    f._map = {a: b for a, b in mapping.items() if a != b}
+    return f
 
 
 def invert(f: FinPerm) -> FinPerm:
@@ -177,7 +183,7 @@ def perm_to_pairs(f: FinPerm) -> list[list[int]]:
 def perm_from_pairs(pairs: Iterable[Iterable[int]]) -> FinPerm:
     mapping = {}
     for pair in pairs:
-        a, b = pair
+        a, b = check_atoms(*pair)
         if a in mapping:
             raise ValueError(f"duplicate source atom {a}")
         mapping[a] = b

@@ -276,13 +276,11 @@ def _compile(graph):
             if len(bound) != bcount:
                 problems.append(f"state '{name}': group {i} binds {len(bound)} atoms,"
                                 f" expected {bcount}")
-            hashable = True  # only atoms are known to be hashable
             for b in bound:
                 if not is_atom(b):
-                    hashable = False
                     problems.append(f"state '{name}': bound atom {b!r} is not a"
                                     f" nonnegative integer")
-            if hashable and len(bound) == bcount > 1 and len(set(bound)) != bcount:
+            if len(bound) == bcount > 1 and all(map(is_atom, bound)) and len(set(bound)) != bcount:
                 problems.append(f"state '{name}': group {i} binds an atom twice")
             if len(children) != ccount:
                 problems.append(f"state '{name}': group {i} has {len(children)} children,"
@@ -455,18 +453,15 @@ def _alpha_table(graph):
     atoms out of a tuple aligned with the state's free atoms, and
     ``picks`` holds per group, for each child, a picker mapping that tuple
     plus one value per bound atom of the group onto the child's free atoms.
-    Equal index tuples share one picker.
     """
     fv = graph._fv
     by_atoms = {}  # (source atoms, wanted atoms) -> picker
-    by_index = {}  # index tuple -> picker
 
     def pick_from(src, want):
         key = (src, want)
         if key not in by_atoms:
             pos = {a: i for i, a in enumerate(src)}  # a bound atom's last position wins
-            idx = tuple([pos[a] for a in want])
-            by_atoms[key] = by_index.setdefault(idx, picker(idx))
+            by_atoms[key] = picker(tuple([pos[a] for a in want]))
         return by_atoms[key]
 
     table = []

@@ -121,6 +121,10 @@ def test_from_table_rejects_clashing_default_atom():
     for atom in (-1, True, 1.0, "1"):
         with pytest.raises(ValueError, match="atoms are nonnegative integers"):
             fs_apply(fs_from_table({1: 2}, (7, 0)), atom)
+    # the atoms are checked before anything compares or sorts them
+    for entries, pair in [({1: 0}, (True, 0)), ({"a": 0, 1: 0}, (5, 0))]:
+        with pytest.raises(ValueError, match="atoms are nonnegative integers"):
+            fs_from_table(entries, pair)
 
 
 def test_fs_eq_examples():

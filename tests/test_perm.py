@@ -14,6 +14,7 @@ from nomfix.perm import (
     FinPerm,
     apply,
     apply_set,
+    check_atoms,
     compose,
     factor,
     fresh,
@@ -93,6 +94,10 @@ def test_make_perm_checks_every_transposition():
 def test_is_atom():
     assert is_atom(0) and is_atom(12)
     assert not any(is_atom(x) for x in (-1, True, False, 1.0, "1", None))
+    assert check_atoms(0, 12, 0) == (0, 12, 0)
+    for x in (-1, True, 1.0, "1", None):
+        with pytest.raises(ValueError, match="atoms are nonnegative integers"):
+            check_atoms(0, x)
 
 
 @pytest.mark.parametrize("build", [
@@ -109,6 +114,10 @@ def test_is_atom():
     lambda: act_value(make_perm([(0, 1)]), (1, (-3,))),
     lambda: support_value(-1),
     lambda: support_value((0, -2)),
+    # refused before anything compares them, so True never passes as atom 1
+    lambda: make_perm([(1, True)]),
+    lambda: perm_from_pairs([[1, 0], [True, 1]]),
+    lambda: perm_between([1, True], [2, 3]),
 ])
 def test_non_atoms_are_rejected(build):
     with pytest.raises(ValueError, match="atoms are nonnegative integers"):

@@ -75,3 +75,31 @@ def test_all_lists_exactly_the_public_names(name):
     exported, defined = public_names((SOURCES[0].parent / name).read_text())
     assert len(set(exported)) == len(exported)
     assert set(exported) == defined
+
+
+_REFUSAL = ast.dump(ast.parse('ValueError("atoms are nonnegative integers")', mode="eval").body)
+
+
+def atom_refusals(source):
+    """How many ``raise ValueError("atoms are nonnegative integers")``
+    statements ``source`` holds, at any depth."""
+    return sum(isinstance(node, ast.Raise) and node.exc is not None and ast.dump(node.exc) == _REFUSAL
+               for node in ast.walk(ast.parse(source)))
+
+
+def test_the_refusal_count_sees_only_that_raise():
+    assert atom_refusals('raise ValueError("atoms are nonnegative integers")\n'
+                         'def f(x):\n    if x:\n'
+                         '        raise ValueError("atoms are nonnegative integers")\n'
+                         '    raise ValueError("atoms are integers")\n'
+                         'raise TypeError("atoms are nonnegative integers")\n'
+                         'error = ValueError("atoms are nonnegative integers")\n') == 2
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_atoms_are_refused_in_perm_and_inline_only_where_measured(path):
+    # perm.check_atoms is the one refusal; the int branches of the value
+    # protocol and of the JSON codec keep theirs inline, as a call there
+    # measured slower
+    expected = {"perm.py": 1, "values.py": 2, "serialize.py": 2}.get(path.name, 0)
+    assert atom_refusals(path.read_text()) == expected
