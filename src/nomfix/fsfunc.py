@@ -21,13 +21,16 @@ support the gap-filling section construction: fill extends an arbitrary
 tuple to a distinct one using spare atoms, giving every function on distinct
 tuples a total extension that restricts back to it.  As section(pi.f, pi.w) =
 pi.section(f, w), one stored section, moved, gives the support, the hash and the
-section at spares off the support; reads memoise partial applications.
+section at spares off the support.  As (pi.h)(b) = pi.(h(pi^-1 b)), a read at a
+distinct tuple renames each atom through the swaps that earlier reads left
+pending, and moves only the value it reaches, never a function on the way.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
+from functools import reduce
+from itertools import permutations
 from typing import Mapping, Sequence
 
 from .nomset import is_strong, min_support
@@ -49,8 +52,7 @@ class FsFun(Nominal):
     __slots__ = ("default_atom", "default_value", "keys", "values")
 
     def __init__(self, default_atom: int, default_value, keys: Sequence[int], values: Sequence):
-        a, keys = default_atom, tuple(keys)
-        check_atoms(a, *keys)
+        a, *keys = check_atoms(default_atom, *keys)
         values = tuple(values)
         if len(keys) != len(values):
             raise ValueError("keys and values must have equal length")
@@ -257,30 +259,35 @@ def _restriction(arity: int, inner: FsFun) -> DistinctFsFun:
 
 
 def distinct_apply(f: DistinctFsFun, atoms: Sequence[int]):
-    v = tuple(atoms)
+    v = check_atoms(*atoms)
     if len(v) != f.arity:
         raise ValueError(f"expected {f.arity} atoms")
     if len(set(v)) != len(v):
         raise ValueError("arguments must be pairwise distinct")
-    out = f.inner
-    for a in v:
-        out = fs_apply(out, a)
-    return out
+    return reduce(fs_apply, v, f.inner)
 
 
-def _reader(f: DistinctFsFun):
-    """``distinct_apply(f, v)`` for distinct tuples ``v`` of the right length,
-    memoising every prefix, so that each partial application is made once."""
-    memo = {(): f.inner}
+def _read(h: FsFun, v: Sequence[int]):
+    """``h`` applied to the atoms of ``v`` in turn, building no moved function.
 
-    def read(v: tuple[int, ...]):
-        out = memo.get(v)
-        if out is None:
-            g = read(v[:-1])
-            out = memo[v] = _raw_apply(g.default_atom, g.default_value, g.keys, g.values, v[-1])
-        return out
-
-    return read
+    By equivariance, (pi.h)(b) = pi.(h(pi^-1 b)): a read off the table of h
+    is the default value d under a pending swap sigma = (a b), and a later
+    read of sigma.d at b is sigma.(d(sigma^-1 b)).  So each atom is renamed
+    through the pending swaps, earliest first, and only the last value
+    reached gets them, latest first."""
+    swaps = []
+    for b in v:
+        for x, y in swaps:
+            b = y if b == x else x if b == y else b
+        if b in h.keys:
+            h = h.values[h.keys.index(b)]
+        else:
+            if b != h.default_atom:
+                swaps.append((h.default_atom, b))
+            h = h.default_value
+    for x, y in reversed(swaps):
+        h = act_swap(x, y, h)
+    return h
 
 
 def distinct_fs_eq(f: DistinctFsFun, g: DistinctFsFun) -> bool:
@@ -289,8 +296,7 @@ def distinct_fs_eq(f: DistinctFsFun, g: DistinctFsFun) -> bool:
         return False
     s = f.inner.support() | g.inner.support()
     probe = sorted(s) + list(_least_outside(s, f.arity))
-    read_f, read_g = _reader(f), _reader(g)
-    return all(read_f(v) == read_g(v) for v in itertools.permutations(probe, f.arity))
+    return all(_read(f.inner, v) == _read(g.inner, v) for v in permutations(probe, f.arity))
 
 
 def section(f: DistinctFsFun, w: Sequence[int]) -> FsFun:
@@ -299,25 +305,29 @@ def section(f: DistinctFsFun, w: Sequence[int]) -> FsFun:
     Reads off distinct tuples are routed through ``fill`` with the spare
     tuple ``w``, so the result agrees with ``f`` wherever ``f`` is defined.
     As section(pi.f, pi.w) = pi.section(f, w), a ``w`` outside the support of
-    ``f`` gets the stored section moved onto it:
+    ``f`` gets the stored section moved onto it, and the stored spares get it
+    unmoved, since they move it by the identity:
 
     >>> f = restrict_distinct(fs_from_table({}, (0, fs_from_table({}, (1, 1)))))  # (a, b) -> b
     >>> g0 = section(f, range(4))
     >>> section(f, range(5, 9)) == g0.apply_perm(perm_between(range(4), range(5, 9)))
     True
+    >>> section(f, range(4)) is section(f, range(4))
+    True
     """
     w = _spares(f.arity, w)
-    if f._slot is None and f.inner.support().isdisjoint(w):
-        return _stored(f, w)[2]
-    supp, ws, g = _stored(f)  # filled here too, so later spares off supp(f) reuse it
+    supp, ws, g = _stored(f, w)  # filled here too, so later spares off supp(f) reuse it
+    if w == ws:
+        return g
     return g.apply_perm(perm_between(ws, w)) if supp.isdisjoint(w) else _section(f, w)
 
 
 def _stored(f: DistinctFsFun, w: tuple[int, ...] = ()):
-    """Fill once ``(supp(f), w, section(f, w))`` for spares ``w`` off the inner support (the
-    least by default); the section's support is supp(f) and, by equivariance, some of ``w``."""
+    """Fill once ``(supp(f), w, section(f, w))``, at spares ``w`` that miss the inner support or
+    else the least that do; by equivariance the section's support is supp(f) and some of ``w``."""
     if f._slot is None:
-        w = w or _least_outside(f.inner.support(), 2 * f.arity)
+        s = f.inner.support()
+        w = w if w and s.isdisjoint(w) else _least_outside(s, 2 * f.arity)
         g = _section(f, w)
         f._slot = frozenset(g.keys).difference(w), w, g
     return f._slot
@@ -328,13 +338,11 @@ def _least_outside(atoms, k: int) -> tuple[int, ...]:
 
 
 def _section(f: DistinctFsFun, w: tuple[int, ...]) -> FsFun:  # w from _spares
-    n = f.arity
     base = sorted(f.inner.support() | set(w))
-    read = _reader(f)
 
     def build(prefix: tuple[int, ...]) -> object:
-        if len(prefix) == n:
-            return read(_fill(prefix, w))
+        if len(prefix) == f.arity:
+            return _read(f.inner, _fill(prefix, w))
         probe = sorted(set(base) | set(prefix))
         a = fresh(probe)
         table = {t: build(prefix + (t,)) for t in probe}

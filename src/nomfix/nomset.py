@@ -17,7 +17,7 @@ from typing import Iterable, Optional, Sequence
 
 from .perm import FinPerm, check_atoms, fresh, is_atom, perm_between
 from .record import Family, Record, fill
-from .search import bfs
+from .search import bfs, picker
 from .values import Nominal, act_swap
 
 MAX_DEGREE = 8
@@ -38,7 +38,7 @@ def _mulclose(degree: int, generators: Sequence[tuple[int, ...]]) -> frozenset[t
 class CoordGroup:
     """A permutation group on register coordinates, closed eagerly."""
 
-    __slots__ = ("degree", "generators", "closure", "order")
+    __slots__ = ("degree", "generators", "closure", "order", "_pickers")
 
     def __init__(self, degree: int, generators: Iterable[Sequence[int]] = ()):
         if not is_atom(degree):
@@ -55,6 +55,8 @@ class CoordGroup:
         self.generators = tuple(gens)
         self.closure = _mulclose(degree, gens)
         self.order = len(self.closure)
+        # a picker per coset member, but none in the trivial groups of automata
+        self._pickers = tuple(map(picker, self.closure)) if self.order > 1 else ()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CoordGroup):
@@ -84,10 +86,8 @@ class OrbitFiniteSet(Family):
 
 
 def _canonical_coset(symmetry: CoordGroup, registers: tuple[int, ...]) -> tuple[int, ...]:
-    if symmetry.order == 1:  # the one coset member is the tuple itself
-        return registers
-    return min(tuple(registers[p[i]] for i in range(symmetry.degree))
-               for p in symmetry.closure)
+    # a trivial group has no pickers: its one coset member is the tuple itself
+    return min([p(registers) for p in symmetry._pickers]) if symmetry._pickers else registers
 
 
 class Element(Record, Nominal):

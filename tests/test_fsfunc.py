@@ -306,6 +306,10 @@ def test_restrict_distinct_and_apply():
         distinct_apply(f, (2, 2))
     with pytest.raises(ValueError):
         distinct_apply(f, (2,))
+    # the atoms are checked before the distinctness test compares them (True == 1)
+    for v in [(1, True), (True, 1), (2, -1), (2, 1.0)]:
+        with pytest.raises(ValueError, match="atoms are nonnegative integers"):
+            distinct_apply(f, v)
 
 
 def test_distinct_fs_fun_rejects_bad_arity():

@@ -19,6 +19,7 @@ from nomfix.nomset import (
     Element,
     OrbitDescriptor,
     OrbitFiniteSet,
+    _canonical_coset,
     act,
     elem_eq,
     element_from_jsonable,
@@ -306,3 +307,26 @@ def test_element_json_roundtrip():
     for malformed in [[], {"orbit": "upair"}, {"registers": [0, 3]}, "upair"]:
         with pytest.raises(ValueError, match="expected an object with 'orbit' and 'registers'"):
             element_from_jsonable(up, malformed)
+
+
+def symmetric_group(degree):
+    return CoordGroup(degree, [(1, 0, *range(2, degree)), (*range(1, degree), 0)])
+
+
+def cyclic_group(degree):
+    return CoordGroup(degree, [(*range(1, degree), 0)])
+
+
+@pytest.mark.parametrize("group", [symmetric_group(n) for n in (3, 4, 5)]
+                         + [cyclic_group(n) for n in range(2, 9)]
+                         + [CoordGroup(n) for n in (0, 1, 3)],
+                         ids=lambda g: repr(g))
+def test_canonical_coset_matches_the_generator_formula(group):
+    rng = random.Random(41 + group.degree)
+    assert group.order in (1, group.degree, math.factorial(group.degree))
+    # only a nontrivial group gets pickers, so loading an automaton builds none
+    assert len(group._pickers) == (group.order if group.order > 1 else 0)
+    for _ in range(40):
+        regs = tuple(rng.sample(range(12), group.degree))
+        old = min(tuple(regs[p[i]] for i in range(group.degree)) for p in group.closure)
+        assert _canonical_coset(group, regs) == old
