@@ -12,7 +12,7 @@ Because the only test a machine can perform is equality against stored atoms,
 language equivalence is decidable: :func:`dfa_equiv` explores pairs of concrete
 states but deduplicates them up to renaming, which leaves finitely many
 equality patterns.  It steps plain ``(orbit, registers)`` tuples through rules
-each machine compiles on its first comparison into the cached property
+each machine compiles on its first comparison into the lazy attribute
 ``_compiled`` (a machine is read-only once built), and keys a pair by where
 each register of one machine sits among the other's, which fixes the pair up to
 renaming because registers are pairwise distinct; :func:`nomfix.search.bfs`
@@ -23,11 +23,10 @@ word-by-word comparison on ``Element`` states that checks it.
 """
 
 import itertools
-from functools import cached_property
 
 from .nomset import CoordGroup, Element, OrbitDescriptor, OrbitFiniteSet
 from .perm import fresh, is_atom
-from .record import Record, fill
+from .record import Record, fill, lazy
 from .search import bfs, picker
 
 __all__ = [
@@ -122,7 +121,7 @@ class NomDFA:
         self.delta = dict(delta)
 
     # the rules table and the dead orbits, built by the first dfa_equiv and kept
-    _compiled = cached_property(lambda self: (table := _compile(self), _dead(self, table)))
+    _compiled = lazy(lambda self: (table := _compile(self), _dead(self, table)))
 
 
 def _check_expr(family, source, degree, expr, equal_index):

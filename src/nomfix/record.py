@@ -83,3 +83,21 @@ class Family:
 
     def __repr__(self):
         return f"{self.__class__.__qualname__}({list(self._by_name)})"
+
+
+class lazy:
+    """An attribute computed by ``compute(instance)`` on first read and kept by
+    ``setattr``, which then shadows this descriptor.  Unlike ``cached_property``
+    it never reads the instance ``__dict__``, which slows later loads on it."""
+
+    def __init__(self, compute):
+        self.compute = compute
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        setattr(instance, self.name, value := self.compute(instance))
+        return value

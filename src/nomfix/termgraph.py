@@ -9,33 +9,31 @@ infinite) tree obtained by unfolding its equation forever; :func:`unfold`
 produces the finite truncation at a given depth, with :data:`CUT` marking
 the pruned subtrees.  Equations and tree nodes are both :class:`Node`.
 
-A graph stores each equation as a row, the tuple of its node's fields, and
-builds the :class:`Node` mapping ``states`` only when read.  One pass over
-the rows, once per graph, validates and numbers them; free atoms, the least
-supports of behaviours, are found on first need; searches key by number.
-Two notions of behavioural equivalence are provided: :func:`raw_bisim`
-compares denoted trees literally, while :func:`alpha_bisim` compares them
-up to renaming of bound atoms.  Both run :func:`nomfix.search.bfs` over a
-finite set of state-pair configurations, so they terminate even though the
-denoted trees are infinite; they differ only in the step that matches one
-pair of nodes.  An alpha configuration carries the renaming as a tuple
-aligned with the left state's free atoms, and the first alpha search
-of a graph turns its states into pickers that carry that tuple to each
-child by position.  :func:`truncation_eq` is the alpha-aware search cut off
-at a depth, so it never materialises the truncations.  A finite tree is a
-graph too, with one row per shared subtree read off its own node, so
-:func:`tree_alpha_eq` is the alpha search on two such graphs, plus a check
-that matched nodes have the same arities, and :func:`tree_free_atoms` reads
-the free atoms of one.  Hashing and :func:`act_tree` are one bottom-up
-fold, ``_fold_tree``, that visits each shared subtree once.
+A graph is compiled when built, by one pass over its rows, the tuples of
+its nodes' fields.  A valid graph numbers its states and keeps per number a
+head, the row with each group's children replaced by their count, shared by
+all states with an equal head and checked once, and its children's numbers;
+an invalid one keeps its rows and problems.  The :class:`Node` mapping
+``states`` is built when read, and free atoms, the least supports of
+behaviours, on first need.  :func:`raw_bisim` compares denoted trees
+literally and :func:`alpha_bisim` up to renaming of bound atoms: both run
+:func:`nomfix.search.bfs` over finitely many configurations of two state
+numbers, so they terminate though the trees are infinite, and differ only
+in the step that matches a pair.  An alpha configuration carries the
+renaming as a tuple aligned with the left state's free atoms, which the left
+graph's pickers carry to each child.  :func:`truncation_eq` is the alpha search cut off at
+a depth.  A finite tree is a graph too, with a head per distinct subtree
+shape, so :func:`tree_alpha_eq` is the alpha search on two of them plus a
+check of arities, and :func:`tree_free_atoms` reads the free atoms of one.
+Hashing and :func:`act_tree` are one bottom-up fold, ``_fold_tree``, that
+visits each shared subtree once.
 """
 
 import re
-from functools import cached_property
 from types import MappingProxyType
 
 from .perm import apply, is_atom
-from .record import Family, Record, fill
+from .record import Family, Record, fill, lazy
 from .search import bfs, picker
 
 __all__ = [
@@ -78,6 +76,7 @@ class _Cut:
 CUT = _Cut()
 _CUT_MARKS = ("⊥", "_")  # CUT as render_tree prints it, and its ASCII form
 _SATURATED = 1 << 64  # _levels counts root paths up to here, far above any cap
+_LEAF = object()  # the label of a tree leaf's head
 
 
 class OpSpec(Record):
@@ -215,85 +214,105 @@ class TermGraph:
     def __init__(self, signature, states):
         if not isinstance(signature, BindingSignature):
             raise TypeError("signature must be a BindingSignature")
-        rows = {}
         for name, node in states.items():
             if not isinstance(name, str):
                 raise TypeError("state names must be strings")
             if not isinstance(node, Node):
                 raise TypeError("states must map names to Node values")
-            rows[name] = Node._fields(node)
-        self.signature, self._rows = signature, rows  # rows in Node._fields order
+        _compile(self, signature, states, Node._fields)
 
-    @cached_property
-    def states(self):
-        return MappingProxyType(
-            {name: fill(object.__new__(Node), *row) for name, row in self._rows.items()})
-
-    # tables built on first use and kept, as a graph is read-only
-    _problems = cached_property(lambda self: _compile(self))
-    _fv = cached_property(lambda self: _fv_table(self))
-    _alpha = cached_property(lambda self: _alpha_table(self))
+    # built on first read and kept, as a graph is read-only
+    states = lazy(lambda self: MappingProxyType(
+        {name: fill(object.__new__(Node), *row) for name, row in _rows_of(self).items()}))
+    _fv = lazy(lambda self: _fv_table(self))
+    _alpha = lazy(lambda self: _alpha_table(self))
 
     def __eq__(self, other):
         if not isinstance(other, TermGraph):
             return NotImplemented
-        return self.signature == other.signature and self._rows == other._rows
+        return self.signature == other.signature and _rows_of(self) == _rows_of(other)
 
     def __repr__(self):
-        return f"TermGraph({len(self._rows)} states)"
+        return f"TermGraph({len(self._index)} states)"
 
 
-def _compile(graph):
-    """The problem list ``graph._problems``, found by one pass that validates
-    ``graph`` and, if valid, numbers its states ``0 .. n-1`` (``_index``) and
-    keeps per number the row and its children's numbers."""
-    rows, ops = graph._rows, graph.signature._by_name
-    index = {name: i for i, name in enumerate(rows)}
-    problems, kids = [], []
-    for name, (op, atoms, groups, label) in rows.items():
-        spec = ops.get(op) if isinstance(op, str) else None
-        if spec is None:
-            problems.append(f"state '{name}': unknown operation '{op}'")
-            continue
-        if len(atoms) != spec.atom_arity:
-            problems.append(f"state '{name}': expected {spec.atom_arity} atoms,"
-                            f" got {len(atoms)}")
-        for a in atoms:
-            if not is_atom(a):
-                problems.append(f"state '{name}': atom {a!r} is not a nonnegative integer")
-        if spec.labels is None:
-            if label is not None:
-                problems.append(f"state '{name}': operation '{op}' takes no label")
-        elif not isinstance(label, str) or label not in spec.labels:
-            problems.append(f"state '{name}': label {label!r} not allowed for '{op}'")
-        shape = spec.binder_groups
-        if len(groups) != len(shape):
-            problems.append(f"state '{name}': expected {len(shape)} binder"
-                            f" groups, got {len(groups)}")
-            continue
-        row = []
-        for i, ((bound, children), (bcount, ccount)) in enumerate(zip(groups, shape)):
-            if len(bound) != bcount:
-                problems.append(f"state '{name}': group {i} binds {len(bound)} atoms,"
-                                f" expected {bcount}")
-            for b in bound:
-                if not is_atom(b):
-                    problems.append(f"state '{name}': bound atom {b!r} is not a"
-                                    f" nonnegative integer")
-            if len(bound) == bcount > 1 and all(map(is_atom, bound)) and len(set(bound)) != bcount:
-                problems.append(f"state '{name}': group {i} binds an atom twice")
-            if len(children) != ccount:
-                problems.append(f"state '{name}': group {i} has {len(children)} children,"
-                                f" expected {ccount}")
+def _compile(graph, signature, states, row_of):
+    """Number the ``states`` (``_index``) and list the problems (``_problems``)
+    of their rows, ``row_of(state)`` in ``Node._fields`` order, built one at a
+    time.  A valid graph keeps per number its head ``(op, atoms, ((bound,
+    count), ...), label)``, one object per equal head (``_heads``), and its
+    children's numbers (``_kids``); an invalid one keeps ``_rows``.  Returns
+    ``graph``."""
+    ops, index = signature._by_name, {name: i for i, name in enumerate(states)}
+    get, memo, heads, kids, problems = index.get, {}, [], [], []  # memo: the heads checked
+    for name, state in states.items():
+        op, atoms, groups, label = row = row_of(state)
+        # the memo compares by ==, so only atoms (True == 1 == 1.0) and hashable fields reach it
+        lookup = isinstance(op, str) and (label is None or isinstance(label, str))
+        lookup, shape, kid = lookup and (not atoms or all(map(is_atom, atoms))), (), []
+        for bound, children in groups:
+            lookup = lookup and (not bound or all(map(is_atom, bound)))
+            shape += (bound, len(children)),
             for c in children:
-                k = index.get(c) if isinstance(c, str) else None
-                if k is None:
-                    problems.append(f"state '{name}': unknown child state '{c}'")
-                row.append(k)
-        kids.append(tuple(row))
-    if not problems:
-        graph._index, graph._by_number, graph._kids = index, list(rows.values()), kids
-    return tuple(problems)
+                kid.append(get(c) if isinstance(c, str) else None)
+        key = (op, atoms, shape, label)
+        head = memo.get(key) if lookup else None
+        if head is None or None in kid:
+            if found := [*_state_problems(name, row, index, ops)]:
+                problems += found
+                continue
+            head = memo[key] = key
+        heads.append(head)
+        kids.append(tuple(kid))
+    graph.signature, graph._index, graph._problems = signature, index, tuple(problems)
+    if problems:
+        graph._rows = {name: row_of(state) for name, state in states.items()}
+    else:
+        graph._heads, graph._kids = heads, kids
+    return graph
+
+
+def _state_problems(name, row, index, ops):
+    """The problems of state ``name``, in the order that :func:`validate` lists."""
+    op, atoms, groups, label = row
+    spec, at = ops.get(op) if isinstance(op, str) else None, f"state '{name}':"
+    if spec is None:
+        yield f"{at} unknown operation '{op}'"
+        return
+    if len(atoms) != spec.atom_arity:
+        yield f"{at} expected {spec.atom_arity} atoms, got {len(atoms)}"
+    yield from (f"{at} atom {a!r} is not a nonnegative integer" for a in atoms if not is_atom(a))
+    if spec.labels is None and label is not None:
+        yield f"{at} operation '{op}' takes no label"
+    elif spec.labels is not None and (not isinstance(label, str) or label not in spec.labels):
+        yield f"{at} label {label!r} not allowed for '{op}'"
+    shape = spec.binder_groups
+    if len(groups) != len(shape):
+        yield f"{at} expected {len(shape)} binder groups, got {len(groups)}"
+        return
+    for i, ((bound, children), (bcount, ccount)) in enumerate(zip(groups, shape)):
+        if len(bound) != bcount:
+            yield f"{at} group {i} binds {len(bound)} atoms, expected {bcount}"
+        yield from (f"{at} bound atom {b!r} is not a nonnegative integer"
+                    for b in bound if not is_atom(b))
+        if len(bound) == bcount > 1 and all(map(is_atom, bound)) and len(set(bound)) != bcount:
+            yield f"{at} group {i} binds an atom twice"
+        if len(children) != ccount:
+            yield f"{at} group {i} has {len(children)} children, expected {ccount}"
+        yield from (f"{at} unknown child state '{c}'"
+                    for c in children if not isinstance(c, str) or c not in index)
+
+
+def _rows_of(graph):
+    """The rows of ``graph`` by name: as kept if invalid, else rebuilt."""
+    if graph._problems:
+        return graph._rows
+    names, rows = list(graph._index), {}
+    for name, (op, atoms, shape, label), kids in zip(names, graph._heads, graph._kids):
+        kid = iter(kids)
+        rows[name] = (op, atoms, tuple([(bound, tuple([names[next(kid)] for _ in range(count)]))
+                                        for bound, count in shape]), label)
+    return rows
 
 
 def _fv_table(graph):
@@ -304,17 +323,17 @@ def _fv_table(graph):
     value: atoms are unbounded; it is shown as a tuple in the same order of
     first sight."""
     bit, fv, parents, keeps = {}, [], [[] for _ in graph._kids], {}
-    for p, ((_, atoms, groups, _), kids) in enumerate(zip(graph._by_number, graph._kids)):
+    for p, ((_, atoms, shape, _), kids) in enumerate(zip(graph._heads, graph._kids)):
         own = 0
         for a in atoms:
             own |= bit.setdefault(a, 1 << len(bit))
         fv.append(own)
         kid = iter(kids)
-        for bound, children in groups:
-            keep = keeps.get(bound)  # the bits past the binders, which a tree may repeat
+        for bound, count in shape:
+            keep = keeps.get(bound)  # the bits past the binders, which many heads may repeat
             if keep is None:
                 keep = keeps[bound] = ~sum({bit.setdefault(b, 1 << len(bit)) for b in bound})
-            for _ in children:
+            for _ in range(count):
                 parents[next(kid)].append((p, keep))
     work = [s for s, own in enumerate(fv) if own]  # an empty set moves nothing
     while work:
@@ -385,11 +404,11 @@ def unfold(graph, state, depth):
     """
     below = {}  # state number -> its node one level down; empty below the last
     for level in reversed(list(_levels(graph, state, depth))):
-        rows, kids, made = graph._by_number, graph._kids, {}
+        heads, kids, made = graph._heads, graph._kids, {}
         for s in level:
-            (op, atoms, groups, label), kid = rows[s], iter(kids[s])
-            groups = tuple((bound, tuple([below.get(next(kid), CUT) for _ in children]))
-                           for bound, children in groups)
+            (op, atoms, shape, label), kid = heads[s], iter(kids[s])
+            groups = tuple((bound, tuple([below.get(next(kid), CUT) for _ in range(count)]))
+                           for bound, count in shape)
             made[s] = Node(op, atoms, groups, label)
         below = made
     return below.get(graph._index[state], CUT)
@@ -426,17 +445,12 @@ def raw_bisim(g1, s1, g2, s2):
     ``|states1| * |states2|`` elements, so this terminates.
     """
     root = _check_pair(g1, s1, g2, s2)
-    rows1, rows2, kids1, kids2 = g1._by_number, g2._by_number, g1._kids, g2._kids
+    heads1, heads2, kids1, kids2 = g1._heads, g2._heads, g1._kids, g2._kids
 
     def expand(pair, seen, push):
         a, b = pair
-        op_a, atoms_a, groups_a, label_a = rows1[a]
-        op_b, atoms_b, groups_b, label_b = rows2[b]
-        if op_a != op_b or label_a != label_b or atoms_a != atoms_b:
+        if heads1[a] != heads2[b]:  # under one signature: operation, label, atoms and binders
             return None
-        for (bound_a, _), (bound_b, _) in zip(groups_a, groups_b):
-            if bound_a != bound_b:
-                return None
         for child in zip(kids1[a], kids2[b]):
             if child not in seen:
                 seen.add(child)
@@ -465,10 +479,10 @@ def _alpha_table(graph):
         return by_atoms[key]
 
     table = []
-    for here, (op, atoms, groups, label), kids in zip(fv, graph._by_number, graph._kids):
+    for here, (op, atoms, shape, label), kids in zip(fv, graph._heads, graph._kids):
         kid = iter(kids)
-        picks = tuple([tuple([pick_from(here + bound, fv[next(kid)]) for _ in children])
-                       for bound, children in groups])
+        picks = tuple([tuple([pick_from(here + bound, fv[next(kid)]) for _ in range(count)])
+                       for bound, count in shape])
         table.append((op, label, pick_from(here, atoms), picks))
     return table
 
@@ -485,16 +499,16 @@ def _alpha_search(g1, g2, i1, i2):
     from its parent's plus the right group's binders, through the left
     graph's compiled table, so the configurations are finitely many.
     """
-    table, kids1, rows2, kids2 = g1._alpha, g1._kids, g2._by_number, g2._kids
+    table, kids1, heads2, kids2 = g1._alpha, g1._kids, g2._heads, g2._kids
 
     def expand(config, seen, push):
         sa, sb, vals = config
         op, label, atoms, groups = table[sa]
-        op_b, atoms_b, groups_b, label_b = rows2[sb]
+        op_b, atoms_b, shape_b, label_b = heads2[sb]
         if op != op_b or label != label_b or atoms(vals) != atoms_b:
             return None
         kids_a, kids_b = iter(kids1[sa]), iter(kids2[sb])  # zip draws on them while picks last
-        for picks, (bound_b, _) in zip(groups, groups_b):
+        for picks, (bound_b, _) in zip(groups, shape_b):
             src = vals
             for b in bound_b:
                 if b in vals:  # a right binder captures what a left atom stood for
@@ -539,25 +553,29 @@ def _tree_graph(tree):
     """A finite tree as a compiled graph whose root is state 0.
 
     One breadth-first walk numbers each distinct subtree object, so shared
-    subtrees cost their number, not their paths, and each row is the fields
-    of the tree's own node.  A leaf that is not a :class:`Node`, such as
-    :data:`CUT`, gets one childless row whose operation is the leaf itself, so
-    it matches only an equal leaf; ``_leaves`` holds the numbers of those rows.
-    """
-    number, nodes, kids, leaves = {id(tree): 0}, [tree], [], set()
-    for s, t in enumerate(nodes):  # nodes grows as the walk meets new subtrees
-        if not isinstance(t, Node):
-            nodes[s] = t = Node(t, (), ())
-            leaves.add(s)
-        row = []
-        for _, children in t.groups:
+    subtrees cost their number, not their paths, and reads its head off the
+    node, one object per equal head.  A leaf that is not a :class:`Node`, such
+    as :data:`CUT`, gets the head ``(leaf, (), (), _LEAF)``, which matches only
+    an equal leaf's."""
+    number, nodes, heads, kids, memo = {id(tree): 0}, [tree], [], [], {}  # memo: the heads
+    for t in nodes:  # nodes grows as the walk meets new subtrees
+        op, atoms, groups, label = Node._fields(t) if isinstance(t, Node) else (t, (), (), _LEAF)
+        row, shape = [], ()
+        for bound, children in groups:
+            shape += (bound, len(children)),
             for c in children:
-                row.append(number.setdefault(id(c), len(nodes)))  # the tree keeps ids alive
-                if row[-1] == len(nodes):
+                row.append(k := number.setdefault(id(c), len(nodes)))  # the tree keeps ids alive
+                if k == len(nodes):
                     nodes.append(c)
+        head = (op, atoms, shape, label)
+        try:
+            head = memo.setdefault(head, head)
+        except TypeError:  # a hand-built tree's unhashable field: this head stays unshared
+            pass
+        heads.append(head)
         kids.append(tuple(row))
-    graph = TermGraph.__new__(TermGraph)  # no signature or rows: only the tables
-    graph._by_number, graph._kids, graph._leaves = list(map(Node._fields, nodes)), kids, leaves
+    graph = TermGraph.__new__(TermGraph)  # no signature or index: only the tables
+    graph._heads, graph._kids = heads, kids
     return graph
 
 
@@ -565,18 +583,18 @@ def tree_alpha_eq(t1, t2):
     """Alpha-equivalence of two finite trees: the search of
     :func:`alpha_bisim` on the two trees as graphs, so :data:`CUT` only
     matches :data:`CUT` and each pair of subtrees is searched once per
-    renaming of the left one's free atoms.  Two nodes match only if they
-    have as many groups, each binding as many atoms over as many children."""
+    renaming of the left one's free atoms.  Two nodes match only if their
+    heads have as many groups, binding as many atoms over as many children."""
     g1, g2 = _tree_graph(t1), _tree_graph(t2)
-    rows1, rows2, leaves1, leaves2 = g1._by_number, g2._by_number, g1._leaves, g2._leaves
+    heads1, heads2 = g1._heads, g2._heads
     root, expand = _alpha_search(g1, g2, 0, 0)
 
     def shaped(config, seen, push):  # hand-built trees are never validated; expand checks atoms
-        a, b = rows1[config[0]][2], rows2[config[1]][2]  # the groups
-        if len(a) != len(b) or (config[0] in leaves1) != (config[1] in leaves2):
+        a, b = heads1[config[0]][2], heads2[config[1]][2]  # binders and child counts
+        if len(a) != len(b):
             return None
-        for (bound_a, kids_a), (bound_b, kids_b) in zip(a, b):
-            if len(bound_a) != len(bound_b) or len(kids_a) != len(kids_b):
+        for (bound_a, count_a), (bound_b, count_b) in zip(a, b):
+            if len(bound_a) != len(bound_b) or count_a != count_b:
                 return None
         return expand(config, seen, push)
 
@@ -755,7 +773,7 @@ def signature_from_jsonable(blob):
 def graph_to_jsonable(graph):
     sig = "lambda" if graph.signature == LAMBDA_SIG else signature_to_jsonable(graph.signature)
     states = {}
-    for name, (op, atoms, groups, label) in graph._rows.items():
+    for name, (op, atoms, groups, label) in _rows_of(graph).items():
         entry = {"op": op, "atoms": list(atoms),
                  "groups": [{"bound_atoms": list(bound), "children": list(children)}
                             for bound, children in groups]}
@@ -773,11 +791,10 @@ def graph_from_jsonable(blob):
         signature = LAMBDA_SIG
     else:
         signature = signature_from_jsonable(sig)
-    if not isinstance(blob["states"], dict):
+    states = blob["states"]
+    if not isinstance(states, dict):
         raise ValueError("'states' must be an object")
-    graph = TermGraph(signature, {})
-    graph._rows = {name: (  # the fields a Node would hold, with no Node built
-        entry["op"], tuple(entry["atoms"]),
+    return _compile(TermGraph.__new__(TermGraph), signature, states, lambda entry: (
+        entry["op"], tuple(entry["atoms"]),  # a Node's fields, with no Node built
         tuple([(tuple(g["bound_atoms"]), tuple(g["children"])) for g in entry["groups"]]),
-        entry.get("label")) for name, entry in blob["states"].items()}
-    return graph
+        entry.get("label")))

@@ -27,6 +27,23 @@ def random_lambda_graph(rng, max_states=4, atom_pool=4):
     return TermGraph(LAMBDA_SIG, states), "s0"
 
 
+def lambda_graph_blob(rng, n, atom_pool=6):
+    """The JSON form of a random lambda graph of ``n`` states ``s0 .. s<n-1>``,
+    not necessarily reachable from one another."""
+    names = [f"s{i}" for i in range(n)]
+    states = {}
+    for name in names:
+        kind = rng.choice(("lam", "app", "var"))
+        if kind == "var":
+            states[name] = {"op": "var", "atoms": [rng.randrange(atom_pool)], "groups": []}
+        else:
+            bound = [rng.randrange(atom_pool)] if kind == "lam" else []
+            children = [rng.choice(names) for _ in range(1 if kind == "lam" else 2)]
+            states[name] = {"op": kind, "atoms": [],
+                            "groups": [{"bound_atoms": bound, "children": children}]}
+    return {"sig": "lambda", "states": states}
+
+
 def mutate_one_rule(rng, graph, atom_pool=4):
     """A copy of a lambda graph with one state's rule replaced: mostly the
     same operation with another binder or variable atom (often one already

@@ -1,7 +1,7 @@
 """The value contract of the immutable record classes: ``repr``, ``==`` and
 ``hash`` are those a frozen dataclass with the same fields would give, the
 constructors coerce sequences to tuples as before, and the fields cannot
-be assigned or deleted."""
+be assigned or deleted.  Also the ``lazy`` attributes of read-only tables."""
 
 import copy
 import pickle
@@ -11,6 +11,7 @@ import pytest
 from nomfix.abstraction import Abstraction
 from nomfix.nomauto import OrbitRules, TargetExpr
 from nomfix.nomset import CoordGroup, Element, OrbitDescriptor, OrbitFiniteSet
+from nomfix.record import lazy
 from nomfix.termgraph import Node, OpSpec
 
 # (record, its dataclass repr, the same record built from other sequences,
@@ -97,3 +98,37 @@ def test_elements_are_records_hashed_without_their_family():
     # the family still takes part in ==
     other = OrbitFiniteSet([OrbitDescriptor("up", 2, CoordGroup(2))])
     assert Element(other, "up", (2, 5)) != e and e != ("up", (2, 5))
+
+
+class Squares:
+    """A table with one lazy attribute, counting its computations and its
+    attribute stores."""
+
+    computed, stored = 0, []
+
+    def __init__(self, n):
+        self.n = n
+
+    def __setattr__(self, name, value):
+        Squares.stored.append(name)
+        super().__setattr__(name, value)
+
+    @lazy
+    def table(self):
+        Squares.computed += 1
+        return [i * i for i in range(self.n)]
+
+
+def test_lazy_attributes_compute_once_and_store_by_setattr():
+    Squares.computed, Squares.stored = 0, []
+    squares = Squares(4)
+    assert isinstance(Squares.table, lazy) and Squares.table.name == "table"
+    assert "table" not in vars(squares) and Squares.computed == 0
+    assert squares.table == [0, 1, 4, 9] and squares.table is squares.table
+    # computed once, then kept as an instance attribute set through setattr
+    assert Squares.computed == 1 and Squares.stored == ["n", "table"]
+    assert vars(squares) == {"n": 4, "table": [0, 1, 4, 9]}
+    # copies carry the kept value instead of computing it again
+    for twin in (copy.copy(squares), copy.deepcopy(squares), pickle.loads(pickle.dumps(squares))):
+        assert twin.table == [0, 1, 4, 9]
+    assert Squares.computed == 1

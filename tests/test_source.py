@@ -48,6 +48,32 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+def cached_property_uses(source):
+    """The lines of ``source`` that import ``cached_property`` or read it as
+    an attribute, as in ``functools.cached_property``."""
+    uses = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            uses += [node.lineno for alias in node.names if alias.name == "cached_property"]
+        elif isinstance(node, ast.Attribute) and node.attr == "cached_property":
+            uses.append(node.lineno)
+    return sorted(uses)
+
+
+def test_the_cached_property_check_sees_imports_and_attributes():
+    assert cached_property_uses("from functools import cached_property\nimport functools\n"
+                                "x = functools.cached_property\n"
+                                "from functools import partial as cached_property\n"
+                                "from functools import cached_property as cp\n") == [1, 3, 5]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_module_uses_cached_property(path):
+    # it stores through the instance __dict__, after which every attribute load
+    # on the instance takes CPython's slow path; record.lazy stores by setattr
+    assert cached_property_uses(path.read_text()) == []
+
+
 def public_names(source):
     """The ``__all__`` of ``source``, and the names that its top level defines
     by ``def``, ``class`` or assignment and that do not start with ``_``;

@@ -7,12 +7,14 @@ equality.  Production verdicts must agree with both at every tested depth.
 """
 
 import copy
+import gc
 import json
 import pickle
 import random
 import re
 import sys
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -50,6 +52,7 @@ from nomfix.termgraph import (
 
 from helpers import (
     fv_oracle,
+    lambda_graph_blob,
     match_alpha_search,
     mutate_one_rule,
     random_lambda_graph,
@@ -744,6 +747,9 @@ def test_tree_alpha_eq_rejects_mismatched_arities():
         assert tree_alpha_eq(t1, t2) == expected, (t1, t2)
         assert tree_alpha_oracle(t1, t2) == expected, (t1, t2)
     assert tree_free_atoms(Node("lam", (), (((0, 0), (var0,)),))) == frozenset()
+    # a label that no head can be hashed with, which the oracle cannot take
+    assert tree_alpha_eq(lam(lit(["x"])), lam(lit(["x"])))
+    assert not tree_alpha_eq(lam(lit(["x"])), lam(lit(["y"])))
 
 
 def test_tree_alpha_eq_is_equivariant():
@@ -909,3 +915,102 @@ def test_graph_json_named_signature():
     assert g.states == lam_graph().states
     with pytest.raises(ValueError):
         graph_from_jsonable({"sig": "unknown-name", "states": {}})
+
+
+def var_entry(atom, label=None):
+    entry = {"op": "var", "atoms": [atom], "groups": []}
+    return entry if label is None else dict(entry, label=label)
+
+
+def lam_entry(bound):
+    return {"op": "lam", "atoms": [], "groups": [{"bound_atoms": [bound], "children": ["u"]}]}
+
+
+LIT_SIG = BindingSignature([OpSpec("lit", 0, (), ["x", "y"]), OpSpec("var", 1, ())])
+
+
+def test_the_head_memo_lets_no_non_atom_through():
+    # the compile pass checks each distinct head once and finds the others by
+    # ==, under which True == 1 == 1.0; a later state whose atom is not an
+    # atom must still be reported, exactly as a first one would be
+    var, lam = (lambda a: Node("var", (a,), ())), (lambda b: Node("lam", (), (((b,), ("u",)),)))
+    for graph, expected in [
+        (TermGraph(LAMBDA_SIG, {"u": var(1), "v": var(True)}),
+         ["state 'v': atom True is not a nonnegative integer"]),
+        (graph_from_jsonable({"sig": "lambda", "states": {"u": var_entry(1), "v": var_entry(1.0)}}),
+         ["state 'v': atom 1.0 is not a nonnegative integer"]),
+        (TermGraph(LAMBDA_SIG, {"u": var(0), "l": lam(0), "m": lam(False)}),
+         ["state 'm': bound atom False is not a nonnegative integer"]),
+        (graph_from_jsonable({"sig": "lambda", "states": {
+            "u": var_entry(0), "l": lam_entry(0), "m": lam_entry(False), "n": lam_entry(0.0)}}),
+         ["state 'm': bound atom False is not a nonnegative integer",
+          "state 'n': bound atom 0.0 is not a nonnegative integer"]),
+        # unhashable atoms, labels and operations take the message pass and raise nothing
+        (TermGraph(LAMBDA_SIG, {"u": var(1), "v": var([1])}),
+         ["state 'v': atom [1] is not a nonnegative integer"]),
+        (graph_from_jsonable({"sig": "lambda", "states": {
+            "u": var_entry(1), "v": var_entry([1]), "w": var_entry(1, ["x"]),
+            "z": {"op": ["var"], "atoms": [1], "groups": []}}}),
+         ["state 'v': atom [1] is not a nonnegative integer",
+          "state 'w': operation 'var' takes no label",
+          "state 'z': unknown operation '['var']'"]),
+        (TermGraph(LIT_SIG, {"a": Node("lit", (), (), "x"), "b": Node("lit", (), (), ["x"]),
+                             "c": Node("lit", (), (), {"x": 1})}),
+         ["state 'b': label ['x'] not allowed for 'lit'",
+          "state 'c': label {'x': 1} not allowed for 'lit'"]),
+    ]:
+        assert validate(graph) == expected
+        with pytest.raises(ValueError, match=f"^{re.escape(expected[0])}$"):
+            free_atoms(graph, "u")
+        # an invalid graph keeps its rows as given
+        assert TermGraph(graph.signature, graph.states) == graph
+        assert validate(TermGraph(graph.signature, graph.states)) == expected
+
+
+def test_the_compact_form_round_trips():
+    # a valid graph keeps a shared head and the children's numbers per state;
+    # both constructors, and the rows rebuilt from that form, read alike
+    rng = random.Random(3101)
+    for _ in range(150):
+        g, _ = random_lambda_graph(rng, 8, 4)
+        for graph in (g, mutate_one_rule(rng, g)):
+            built = TermGraph(graph.signature, graph.states)
+            loaded = graph_from_jsonable(json.loads(json.dumps(graph_to_jsonable(graph))))
+            assert built == graph and loaded == graph and loaded.states == graph.states
+            assert graph_to_jsonable(loaded) == graph_to_jsonable(built) == graph_to_jsonable(graph)
+            assert validate(loaded) == validate(built) == [] and repr(loaded) == repr(built)
+            for made in (built, loaded):  # one object per distinct head
+                assert len(set(map(id, made._heads))) == len(set(made._heads))
+            names = list(graph.states)
+            for s in names:
+                assert free_atoms(loaded, s) == free_atoms(built, s)
+                assert unfold(loaded, s, 5) == unfold(built, s, 5)
+                t = rng.choice(names)
+                for search in (raw_bisim, alpha_bisim):
+                    verdict = search(graph, s, g, t)
+                    assert search(loaded, s, g, t) == search(built, s, g, t) == verdict
+                assert (truncation_eq(loaded, s, g, t, 3) == truncation_eq(built, s, g, t, 3)
+                        == truncation_eq(graph, s, g, t, 3))
+
+
+def test_a_tree_graph_shares_one_head_per_distinct_shape():
+    tree = unfold(lam_graph(), "s", 600)
+    graph = termgraph._tree_graph(tree)
+    assert len(graph._heads) == distinct_nodes(tree) + 1  # and one CUT leaf
+    assert len(set(map(id, graph._heads))) == 4  # lam, app, var and CUT
+
+
+def test_a_loaded_graph_keeps_at_most_200_bytes_per_state():
+    # traced bytes that loading, validating and free_atoms leave allocated: a
+    # later change may lower this pin, never raise it
+    blob = json.loads(json.dumps(lambda_graph_blob(random.Random(3131), 3000)))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        graph = graph_from_jsonable(blob)
+        assert validate(graph) == [] and free_atoms(graph, "s0") is not None
+        kept = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert kept / 3000 <= 200, f"{kept / 3000:.1f} bytes per state"
